@@ -19,11 +19,10 @@ Run the pytest series with::
 
     pytest benchmarks/bench_server_throughput.py --benchmark-only
 
-or run the standalone sweep modes (batch sizes, shard counts, restart
-cost, HTTP transports, the disk-backed memory tier)::
+or run the standalone sweep modes (batch sizes, restart cost, HTTP
+transports, the disk-backed memory tier, the replica pool)::
 
     python benchmarks/bench_server_throughput.py --batch
-    python benchmarks/bench_server_throughput.py --shards
     python benchmarks/bench_server_throughput.py --restart
     python benchmarks/bench_server_throughput.py --http
     python benchmarks/bench_server_throughput.py --spill [--principals N]
@@ -238,7 +237,7 @@ def test_warm_beats_cold(security_views):
 
 
 # ----------------------------------------------------------------------
-# Standalone sweep modes (no pytest): batch sizes and shard counts
+# Standalone sweep modes (no pytest)
 # ----------------------------------------------------------------------
 def _sweep_batch_sizes(queries: int, seed: int) -> None:
     """Warm decisions/sec per batch size, against the single-query rate."""
@@ -263,55 +262,6 @@ def _sweep_batch_sizes(queries: int, seed: int) -> None:
 
         rate = _best_rate(batched, len(traffic))
         print(f"{size:>10}  {rate:>14,.0f}  {rate / single:>7.2f}x")
-
-
-def _sweep_shard_counts(duration: float, batch: int, seed: int) -> None:
-    """End-to-end decisions/sec through the HTTP front end per shard
-    count: real worker processes, driven by the closed-loop generator
-    posting ``/v1/batch`` requests at the router."""
-    import os
-    import threading
-
-    from repro.server.shard import serve_sharded, stop_shard_workers
-
-    cores = os.cpu_count() or 1
-    print(
-        f"{'shards':>6}  {'decisions/sec':>14}  {'p50 µs':>8}  "
-        f"(HTTP, batches of {batch}, {cores} CPU core(s) visible)"
-    )
-    if cores < 2:
-        print(
-            "  note: with a single visible core every worker shares one "
-            "CPU; expect flat-to-negative scaling on this machine"
-        )
-    baseline = None
-    for shards in (1, 2, 4):
-        front, router, workers = serve_sharded(shards, port=0)
-        thread = threading.Thread(target=front.serve_forever, daemon=True)
-        thread.start()
-        host, port = front.server_address[:2]
-        try:
-            report = run_load(
-                url=f"http://{host}:{port}",
-                workers=max(4, 2 * shards),
-                duration=duration,
-                principals=PRINCIPALS,
-                batch=batch,
-                seed=seed,
-            )
-        finally:
-            front.shutdown()
-            front.server_close()
-            router.close()
-            stop_shard_workers(workers)
-        baseline = baseline or report.qps
-        scaling = (
-            f"{report.qps / baseline:.2f}x" if baseline else "n/a"
-        )
-        print(
-            f"{shards:>6}  {report.qps:>14,.0f}  {report.p50_us:>8.1f}  "
-            f"({scaling}, {report.errors} errors)"
-        )
 
 
 def _measure_restart(queries: int, seed: int) -> dict:
@@ -579,7 +529,7 @@ def _measure_pool(duration: float, seed: int) -> dict:
     replicas) **only when more than one CPU core is visible** — on a
     single core the replicas time-slice one CPU and pay the pipe tax
     with nothing to parallelize, so the measurement is reported but
-    not gated (the same caveat the shard sweep prints).
+    not gated.
     """
     import os
 
@@ -623,7 +573,8 @@ def _measure_pool(duration: float, seed: int) -> dict:
             query_pool=256,
             seed=seed,
         )
-        merged = pooled_handle.pool.metrics_snapshot()
+        pool = pooled_handle.pool
+        merged = pool.call(pool.metrics_snapshot)
     finally:
         pooled_handle.stop()
 
@@ -1092,10 +1043,6 @@ def main(argv=None) -> int:
         help="sweep batch sizes through submit_batch (in process)",
     )
     parser.add_argument(
-        "--shards", action="store_true",
-        help="sweep shard counts through the HTTP front end",
-    )
-    parser.add_argument(
         "--restart", action="store_true",
         help="measure cold vs warm restart (hit rate, qps, restore time)",
     )
@@ -1133,24 +1080,20 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--queries", type=int, default=4096)
     parser.add_argument("--duration", type=float, default=2.0)
-    parser.add_argument("--batch-size", type=int, default=256,
-                        help="request size for the --shards sweep")
     parser.add_argument("--seed", type=int, default=6)
     args = parser.parse_args(argv)
     if not (
-        args.batch or args.shards or args.restart or args.http
+        args.batch or args.restart or args.http
         or args.spill or args.pool or args.ci
     ):
         parser.error(
-            "pick a mode: --batch, --shards, --restart, --http, --spill, "
+            "pick a mode: --batch, --restart, --http, --spill, "
             "--pool, and/or --ci"
         )
     if args.ci:
         return _run_ci(args.json, args.check, args.seed)
     if args.batch:
         _sweep_batch_sizes(args.queries, args.seed)
-    if args.shards:
-        _sweep_shard_counts(args.duration, args.batch_size, args.seed)
     if args.restart:
         _sweep_restart(args.queries, args.seed)
     if args.http:

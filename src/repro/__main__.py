@@ -7,8 +7,7 @@ Usage::
     python -m repro audit
     python -m repro lattice
     python -m repro evaluate          # alias of python -m repro.harness
-    python -m repro serve [--host H] [--port P] [--shards N] [--async]
-                          [--replicas N]
+    python -m repro serve [--host H] [--port P] [--async] [--replicas N]
                           [--state-dir DIR] [--snapshot-interval S]
                           [--spill-dir DIR] [--max-resident-sessions N]
                           [--stage-sample-rate N]
@@ -31,13 +30,12 @@ custom datalog view file with its implied schema) and prints the
 labeling report; ``label-fql`` does the same for FQL over the Facebook
 schema; ``audit`` prints Table 2; ``lattice`` prints the Figure 3
 disclosure lattice and its DOT rendering; ``serve`` starts the JSON
-decision service over the Facebook vocabulary (``--shards N`` runs N
-worker processes behind a hash-partitioning front end; ``--async``
-serves the same routes from an asyncio event loop whose per-tick drain
-coalesces concurrent requests into bulk decisions; ``--async
---replicas N`` keeps that single front end and moves the data plane
-into N kernel-replica worker processes fed over pipes — multi-core
-throughput with no HTTP between front end and kernels; ``--state-dir``
+decision service over the Facebook vocabulary (``--async`` serves the
+same routes from an asyncio event loop whose per-tick drain coalesces
+concurrent requests into bulk decisions; ``--async --replicas N`` keeps
+that single front end and moves the data plane into N kernel-replica
+worker processes fed over pipes — multi-core throughput with no HTTP
+between front end and kernels; ``--state-dir``
 makes sessions, label cache, and counters durable across restarts via
 incremental snapshot generations; ``--spill-dir`` adds the disk-backed
 cold-session tier with ``--max-resident-sessions`` warm sessions in
@@ -205,20 +203,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             "error: --snapshot-interval must be > 0 seconds", file=sys.stderr
         )
         return 2
-    if args.async_mode and args.shards > 1:
-        print(
-            "error: --async runs one front-end process; scale it out "
-            "with --replicas N (kernel replica workers behind this "
-            "front end) or a shard-aware client over per-shard --async "
-            "servers, not --shards",
-            file=sys.stderr,
-        )
-        return 2
     if args.replicas > 1 and not args.async_mode:
         print(
             "error: --replicas needs --async (the replica pool lives "
-            "behind the asyncio front end; the stdlib server scales "
-            "with --shards instead)",
+            "behind the asyncio front end)",
             file=sys.stderr,
         )
         return 2
@@ -228,8 +216,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     if args.async_mode and args.replicas > 1:
         return _serve_pooled(args, default_policy)
-    if args.shards > 1:
-        return _serve_sharded(args, default_policy)
 
     service = DisclosureService(
         max_active_sessions=args.max_resident_sessions or args.max_sessions,
@@ -250,7 +236,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         from repro.server.persist import (
             SnapshotChain,
             Snapshotter,
-            clean_stale_shards,
             collect_state,
             sessions_payload,
         )
@@ -261,7 +246,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             leftover = sorted(
                 entry.name
                 for entry in Path(args.state_dir).glob("*.json")
-                if entry.name.startswith(("snapshot-", "shard-"))
+                if entry.name.startswith("snapshot-")
             )
             if leftover:
                 print(
@@ -277,7 +262,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 sessions_payload(collected.sessions)
             )
             warmed = service.warm_label_cache(collected.cache_entries)
-            if collected.metrics and not collected.sharded:
+            if collected.metrics:
                 service.restore_metrics(collected.metrics)
             print(
                 f"warm restart: {restored} sessions, {warmed} cache "
@@ -285,17 +270,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             )
             for path, reason in collected.skipped:
                 print(f"  skipped {path.name}: {reason}")
-            if snapshotter.run_once():  # restored state durable pre-traffic
-                # ...and only then may the absorbed shard files go: if
-                # the write failed they are still the sole durable copy.
-                clean_stale_shards(args.state_dir, 0)
-            else:
-                print(
-                    f"warning: initial snapshot failed "
-                    f"({snapshotter.last_error}); keeping existing files"
-                )
-        else:
-            snapshotter.run_once()
+        if not snapshotter.run_once():  # restored state durable pre-traffic
+            print(
+                f"warning: initial snapshot failed ({snapshotter.last_error})"
+            )
         snapshotter.start()
         print(
             f"snapshots: {chain.state_dir} every "
@@ -361,8 +339,7 @@ def _serve_pooled(args: argparse.Namespace, default_policy) -> int:
 
     One asyncio front end (parsing, interning, admin, session mirror)
     dispatching every decision to N kernel-replica worker processes
-    over pipes — multi-core throughput with none of ``--shards``'s
-    per-worker HTTP hop.  See ``docs/pool.md``.
+    over pipes.  See ``docs/pool.md``.
     """
     import asyncio
     import os.path
@@ -391,7 +368,6 @@ def _serve_pooled(args: argparse.Namespace, default_policy) -> int:
     service = DisclosureService(**parent_kwargs)
 
     warm_entries = None
-    snapshotter = None
     if args.state_dir:
         from repro.server.persist import collect_state, sessions_payload
 
@@ -416,39 +392,48 @@ def _serve_pooled(args: argparse.Namespace, default_policy) -> int:
         service_kwargs=service_kwargs,
         warm_entries=warm_entries,
     ).start()
+    snapshotter = None
     if args.state_dir:
         from repro.server.persist import Snapshotter, save_pool_snapshot
 
+        # The snapshotter thread reaches the replicas only through
+        # pool.call, which queues on the front end's tick consumer.
         snapshotter = Snapshotter(
             lambda: save_pool_snapshot(
-                args.state_dir, pool.snapshot_payloads()
+                args.state_dir, pool.call(pool.snapshot_payloads)
             ),
             interval=args.snapshot_interval,
         )
-        snapshotter.run_once()
-        snapshotter.start()
-        print(
-            f"snapshots: {args.state_dir} every "
-            f"{args.snapshot_interval:g}s (merged across replicas)"
-        )
 
     async def run() -> None:
+        loop = asyncio.get_running_loop()
         server = AsyncDecisionServer(
             service, args.host, args.port, pool=pool
         )
         await server.start()
-        print(
-            f"disclosure decision service (asyncio, {args.replicas} "
-            f"kernel replicas) on http://{server.host}:{server.port}"
-        )
-        print(
-            "routes: POST /v1/register /v1/query /v1/peek /v1/batch "
-            "/v1/reset /v2/query /v2/batch; GET /v2/protocol /metrics "
-            "/healthz (decisions dispatch to replicas by principal hash)"
-        )
         try:
+            if snapshotter is not None:
+                await loop.run_in_executor(None, snapshotter.run_once)
+                snapshotter.start()
+                print(
+                    f"snapshots: {args.state_dir} every "
+                    f"{args.snapshot_interval:g}s (merged across replicas)"
+                )
+            print(
+                f"disclosure decision service (asyncio, {args.replicas} "
+                f"kernel replicas) on http://{server.host}:{server.port}"
+            )
+            print(
+                "routes: POST /v1/register /v1/query /v1/peek /v1/batch "
+                "/v1/reset /v2/query /v2/batch; GET /v2/protocol /metrics "
+                "/healthz (decisions dispatch to replicas by principal hash)"
+            )
             await server.serve_forever()
         finally:
+            if snapshotter is not None:
+                # The final merged snapshot, while the tick consumer
+                # and the replicas are still up.
+                await loop.run_in_executor(None, snapshotter.stop)
             await server.stop()
 
     try:
@@ -456,59 +441,8 @@ def _serve_pooled(args: argparse.Namespace, default_policy) -> int:
     except KeyboardInterrupt:
         print("\nshutting down")
     finally:
-        if snapshotter is not None:
-            snapshotter.stop()  # final merged snapshot, replicas still up
         pool.close()
         service.close()
-    return 0
-
-
-def _serve_sharded(args: argparse.Namespace, default_policy) -> int:
-    from repro.server.shard import serve_sharded, stop_shard_workers
-
-    service_kwargs = {
-        "max_active_sessions": args.max_resident_sessions or args.max_sessions,
-        "label_cache_size": args.cache_size,
-        "default_policy": default_policy,
-        "stage_sample_rate": args.stage_sample_rate,
-    }
-    if args.spill_dir:
-        # Each worker gets spill_dir/shard-<i>; derived in the worker.
-        service_kwargs["spill_dir"] = args.spill_dir
-        print(f"spill tier: per-shard logs under {args.spill_dir}/shard-<i>")
-    front, router, workers = serve_sharded(
-        args.shards,
-        args.host,
-        args.port,
-        service_kwargs=service_kwargs,
-        state_dir=args.state_dir,
-        snapshot_interval=args.snapshot_interval,
-    )
-    if args.state_dir:
-        print(
-            f"snapshots: {args.state_dir}/shard-<i>.json every "
-            f"{args.snapshot_interval:g}s (sessions re-hashed for "
-            f"{args.shards} shards at startup)"
-        )
-    host, port = front.server_address[:2]
-    print(
-        f"sharded disclosure decision service on http://{host}:{port} "
-        f"({args.shards} worker processes)"
-    )
-    for worker in workers:
-        print(f"  shard {worker.index}: http://{worker.host}:{worker.port}")
-    print(
-        "routes: POST /v1/register /v1/query /v1/peek /v1/batch /v1/reset; "
-        "GET /metrics /healthz (aggregated across shards)"
-    )
-    try:
-        front.serve_forever()
-    except KeyboardInterrupt:
-        print("\nshutting down")
-    finally:
-        front.server_close()
-        router.close()
-        stop_shard_workers(workers)
     return 0
 
 
@@ -526,10 +460,7 @@ def _snapshot_targets(args: argparse.Namespace):
             entry
             for entry in state_dir.iterdir()
             if entry.name.endswith(".json")
-            and (
-                entry.name.startswith("snapshot-")
-                or entry.name.startswith("shard-")
-            )
+            and entry.name.startswith("snapshot-")
         )
     return None
 
@@ -590,8 +521,8 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
         else:
             path = SnapshotStore(args.state_dir).save(payload)
         sessions = len((payload.get("sessions") or {}).get("sessions", {}))
-        # Single-process servers return the interned (v2) payload; the
-        # sharded front end returns the merged form with plain entries.
+        # Single-process servers return the interned (v2) payload; a
+        # pooled front end returns the merged form with plain entries.
         cache_entries = (payload.get("interning") or {}).get(
             "cache"
         ) or payload.get("label_cache", [])
@@ -628,8 +559,6 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
                 extra += f", generation {info.generation} ({kind})"
                 if info.removed:
                     extra += f", {info.removed} removed"
-            if info.shard:
-                extra += f", shard {info.shard['index']}/{info.shard['count']}"
             print(
                 f"{path}: {info.format}, "
                 f"{info.sessions} sessions, "
@@ -1007,8 +936,6 @@ def _render_metrics(snapshot: dict) -> str:
         f"label cache: {cache.get('hit_rate', 0.0):.1%} hit rate "
         f"({cache.get('hits', 0)} hits, {cache.get('misses', 0)} misses)",
     ]
-    if "shard_count" in snapshot:
-        lines.append(f"shards:     {snapshot['shard_count']}")
     if "replica_count" in snapshot:
         lines.append(f"replicas:   {snapshot['replica_count']}")
     for vector in (snapshot.get("registry") or {}).get("vectors", []):
@@ -1094,11 +1021,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8080)
     serve.add_argument(
-        "--shards", type=int, default=1,
-        help="worker processes; >1 starts the sharded front end "
-        "(principals hash-partitioned across workers)",
-    )
-    serve.add_argument(
         "--async", dest="async_mode", action="store_true",
         help="serve from an asyncio event loop instead of the "
         "thread-per-connection stdlib server; concurrent decision "
@@ -1122,8 +1044,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--spill-dir", metavar="DIR",
         help="spill demoted sessions to an append-only log under DIR "
-        "instead of keeping them in RAM (bounded RSS; --shards workers "
-        "use DIR/shard-<i>)",
+        "instead of keeping them in RAM (bounded RSS; --replicas "
+        "workers use DIR/replica-<i>)",
     )
     serve.add_argument(
         "--cache-size", type=int, default=1 << 16,
@@ -1137,7 +1059,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--state-dir",
         help="directory for durable snapshots; startup warm-loads the "
-        "newest valid state (re-hashed if --shards changed)",
+        "newest valid state (re-partitioned if --replicas changed)",
     )
     serve.add_argument(
         "--snapshot-interval", type=float, default=30.0,
@@ -1188,7 +1110,7 @@ def build_parser() -> argparse.ArgumentParser:
     snapshot.add_argument(
         "--url",
         help="(save) running server whose GET /internal/snapshot to capture "
-        "(a sharded front end returns the merged, topology-free state)",
+        "(a pooled front end returns the state merged across replicas)",
     )
     snapshot.add_argument(
         "--out", help="(save) write this exact file instead of a store entry"
@@ -1227,7 +1149,7 @@ def build_parser() -> argparse.ArgumentParser:
     loadgen.add_argument(
         "--protocol", choices=("auto", "v1", "v2"), default="auto",
         help="HTTP wire protocol (auto negotiates v2, falling back "
-        "to v1 against older servers or a sharded front end)",
+        "to v1 against older servers)",
     )
     loadgen.add_argument(
         "--v2", dest="protocol", action="store_const", const="v2",

@@ -3,8 +3,7 @@
 One persistent keep-alive connection, the qid-native v2 wire protocol
 by default, and transparent content negotiation: with
 ``protocol="auto"`` the client probes ``GET /v2/protocol`` once and
-falls back to the text-based v1 wire against servers that predate v2
-(including a sharded front end, whose router serves v1 only).  A
+falls back to the text-based v1 wire against servers that predate v2.  A
 ``409 unknown-generation`` — the server evicted this client's interner
 generation or restarted — is handled internally by re-sending the
 request with the full key table.

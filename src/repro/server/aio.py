@@ -36,9 +36,10 @@ a coalescible single decision, and the same
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
 import json
 import threading
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from time import perf_counter
 
@@ -144,23 +145,38 @@ class _HttpProtocol(asyncio.Protocol):
                 return
             method = parts[0].decode("ascii", "replace")
             path = parts[1].decode("ascii", "replace")
-            length = 0
+            length: Optional[int] = None
             close = False
             accept = None
             for line in header_block.split(b"\r\n"):
                 name, _, value = line.partition(b":")
                 lowered = name.strip().lower()
                 if lowered == b"content-length":
-                    try:
-                        length = int(value.strip())
-                    except ValueError:
+                    # Exactly one, all digits: a second length or a
+                    # sign would let two parsers frame the bytes apart.
+                    # 19+ digits are no body size (and may exceed what
+                    # int() converts).
+                    if length is not None:
+                        self._fail_now(400, "duplicate Content-Length")
+                        return
+                    digits = value.strip()
+                    if not digits.isdigit() or len(digits) > 18:
                         self._fail_now(400, "bad Content-Length")
                         return
+                    length = int(digits)
                 elif lowered == b"connection":
                     close = value.strip().lower() == b"close"
                 elif lowered == b"accept":
                     accept = value.strip().decode("ascii", "replace")
-            if length > MAX_BODY:
+                elif lowered == b"transfer-encoding":
+                    self._fail_now(
+                        501, "Transfer-Encoding is not supported; "
+                        "send a Content-Length body"
+                    )
+                    return
+            if length is None:
+                length = 0
+            elif length > MAX_BODY:
                 self._fail_now(413, "request body exceeds the 8 MiB cap")
                 return
             body_start = head_end + 4
@@ -239,7 +255,10 @@ class AsyncDecisionServer:
     runs to the kernel replicas and awaits their pipes without blocking
     the loop — new connections keep parsing and queueing while replicas
     compute.  One consumer preserves the drain's order-exactness: ticks
-    are processed strictly in arrival order, one at a time.
+    are processed strictly in arrival order, one at a time.  The same
+    consumer runs the pool jobs other threads queue through
+    :meth:`ReplicaPool.call <repro.server.pool.ReplicaPool.call>`, so
+    only this loop ever touches a replica pipe.
     """
 
     def __init__(
@@ -256,6 +275,7 @@ class AsyncDecisionServer:
         self.gateway = gateway_for(self.service)
         self._pending: List[_QueuedRequest] = []
         self._server: Optional[asyncio.AbstractServer] = None
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._ticks: Optional[asyncio.Queue] = None
         self._consumer: Optional[asyncio.Task] = None
         #: Drain observability: ticks run and requests coalesced.
@@ -272,8 +292,10 @@ class AsyncDecisionServer:
         )
         self.port = self._server.sockets[0].getsockname()[1]
         if self.pool is not None:
+            self._loop = loop
             self._ticks = asyncio.Queue()
             self._consumer = loop.create_task(self._consume_ticks())
+            self.pool.attach(self._submit_job)
         return self
 
     async def serve_forever(self) -> None:
@@ -404,18 +426,55 @@ class AsyncDecisionServer:
             run.append((request, prepared))
         self._flush_run(run, run_update)
 
+    def _submit_job(self, job: Callable) -> concurrent.futures.Future:
+        """Queue the pool coroutine function *job* behind the waiting
+        ticks; callable from any thread.  Returns its future result."""
+        assert self._loop is not None
+        future: concurrent.futures.Future = concurrent.futures.Future()
+        self._loop.call_soon_threadsafe(self._enqueue_job, job, future)
+        return future
+
+    def _enqueue_job(self, job: Callable, future) -> None:
+        if self._consumer is None or self._consumer.done():
+            future.set_exception(RuntimeError("front end stopped"))
+        else:
+            assert self._ticks is not None
+            self._ticks.put_nowait((job, future))
+
     async def _consume_ticks(self) -> None:
-        """Drain handed-off ticks, one at a time, in arrival order."""
-        assert self._ticks is not None
-        while True:
-            pending = await self._ticks.get()
-            try:
-                await self._drain_pooled(pending)
-            except Exception as exc:  # noqa: BLE001 - never hang a slot
-                failure = (500, {"error": f"internal error: {exc}"})
-                for request in pending:
-                    if not request.slot.done():
-                        request.slot.set_result(failure)
+        """Drain handed-off ticks and pool jobs, one at a time, in
+        arrival order, until cancelled."""
+        ticks = self._ticks
+        assert ticks is not None
+        job_future = None
+        try:
+            while True:
+                pending = await ticks.get()
+                if isinstance(pending, tuple):
+                    job, job_future = pending
+                    try:
+                        job_future.set_result(await job())
+                    except Exception as exc:  # noqa: BLE001 - the caller re-raises it
+                        job_future.set_exception(exc)
+                    job_future = None
+                    continue
+                try:
+                    await self._drain_pooled(pending)
+                except Exception as exc:  # noqa: BLE001 - never hang a slot
+                    failure = (500, {"error": f"internal error: {exc}"})
+                    for request in pending:
+                        if not request.slot.done():
+                            request.slot.set_result(failure)
+        finally:
+            # Stopping: no caller may wait on a job nobody will run.
+            self.pool.attach(None)
+            stopped = RuntimeError("front end stopped")
+            if job_future is not None:
+                job_future.set_exception(stopped)
+            while not ticks.empty():
+                item = ticks.get_nowait()
+                if isinstance(item, tuple):
+                    item[1].set_exception(stopped)
 
     async def _drain_pooled(self, pending: List[_QueuedRequest]) -> None:
         """The pooled tick drain: same run discipline, replica dispatch.
@@ -434,7 +493,7 @@ class AsyncDecisionServer:
                 await self._flush_run_pooled(run, run_update)
                 run = []
                 try:
-                    status_payload = await pool.dispatch_inline_async(
+                    status_payload = await pool.dispatch_inline(
                         request.method, request.path, request.body
                     )
                     if status_payload is None:
@@ -568,7 +627,7 @@ class AsyncDecisionServer:
             return
         entries, timings, started = self._segment_entries(segment)
         try:
-            results = await self.pool.decide_async(
+            results = await self.pool.decide(
                 entries, update=update, plane=plane, timings=timings
             )
         except Exception as exc:  # noqa: BLE001 - never hang a slot

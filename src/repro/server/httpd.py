@@ -34,9 +34,8 @@ the full reference).
 
 Routing itself is the pure function :func:`dispatch` — ``(service,
 method, path, body) → (status, payload)`` — which the request handler
-wraps in sockets.  The shard layer reuses the same function for its
-in-process backends, so one route table serves single-process,
-in-process-sharded, and multi-process deployments.
+wraps in sockets.  The asyncio front end reuses the same function, so
+one route table serves every deployment.
 
 The server is a :class:`ThreadingHTTPServer`: one thread per connection
 over the shared (internally locked) :class:`DisclosureService`.  Start
@@ -64,7 +63,7 @@ def metrics_format(query_string: str) -> Tuple[Optional[str], Optional[str]]:
     """``("json" | "prometheus", None)`` or ``(None, error message)``.
 
     The one parser of the ``/metrics`` query string, shared by the
-    stdlib front end, the asyncio front end, and the shard router so an
+    stdlib front end, the asyncio front end, and the replica pool so an
     unknown ``format`` fails identically everywhere.
     """
     if not query_string:
@@ -221,7 +220,7 @@ def validate_batch_body(
     """``(queries, peek, None)`` for a valid ``/v1/batch`` body, else
     ``(None, False, (status, payload))``.
 
-    Shared by the single-process handler and the shard router so both
+    Shared by the single-process handler and the replica pool so both
     deployments reject malformed batches with identical status codes
     and messages.
     """
@@ -381,8 +380,7 @@ def make_server(
     """Build (but do not start) a decision server; ``port=0`` picks a free one.
 
     *service* may also be any object with a compatible
-    ``dispatch(method, path, body)`` method — that is how the shard
-    router reuses this server as its front end.
+    ``dispatch(method, path, body)`` method.
     """
     return DecisionHTTPServer((host, port), service or DisclosureService())
 

@@ -4,10 +4,10 @@ Before this module, the service evaluated the paper's single conceptual
 object — the disclosure order, per principal, against packed partition
 labels — through three diverging re-implementations: the single-query
 path in :mod:`repro.server.service`, the vectorized path in
-:mod:`repro.server.batch`, and the shard fan-out in
-:mod:`repro.server.shard`, each with its own memoization of canonical
-keys, labels, and session masks.  :class:`DecisionKernel` collapses
-them: every transport interns its queries into dense integer ids
+:mod:`repro.server.batch`, and a multi-process fan-out, each with its
+own memoization of canonical keys, labels, and session masks.
+:class:`DecisionKernel` collapses them: every transport interns its
+queries into dense integer ids
 (:mod:`repro.server.interning`) and routes through the same
 canonicalize → label → mask → outcome pipeline, expressed entirely as
 flat int-keyed operations:
@@ -44,7 +44,7 @@ the transports use, and id-native callers re-intern after a rotation.
 The kernel owns no sessions and no metrics: the service remains the
 session store (LRU, registration, serializable state) and the
 transports keep their own counters.  What the kernel guarantees is that
-however a decision arrives — one call, a batch, a shard sub-batch — it
+however a decision arrives — one call, a batch, a replica sub-batch — it
 is computed by the same code over the same integer plane, so the
 equivalence suites that held the three old paths byte-identical now
 hold one path against itself.
@@ -277,7 +277,7 @@ class DecisionKernel:
         may overshoot it by at most its own item count — bounded by the
         transport's batch limit (``MAX_BATCH`` on the wire), which is
         negligible against the cap itself.  External id-producers (the
-        shard router's translation stage) must obtain their plane here,
+        replica pool's dispatcher) must obtain their plane here,
         not from :attr:`plane`, so interning through them also respects
         the cap.
         """
@@ -291,16 +291,15 @@ class DecisionKernel:
     ) -> Tuple[_Plane, List[int]]:
         """Bulk canonical-key ingestion: the qid-delta path.
 
-        External id-producers — the shard router's translation stage,
-        the v2 wire gateway absorbing a client's interner delta — hold
+        External id-producers — the replica pool seeding warm keys, the
+        v2 wire gateway absorbing a client's interner delta — hold
         canonical keys, not query objects.  This interns them in order
         against one plane (the cap-respecting resolution plane when
         *plane* is ``None``) and returns that plane with the kernel
         qid of each key.  The returned qids are only meaningful against
         the returned plane; callers that cache them must record which
         plane they belong to and rebuild after a rotation (the pattern
-        :class:`repro.server.shard.ShardRouter` and the v2 gateway both
-        follow).
+        the v2 gateway follows).
         """
         if plane is None:
             plane = self.resolution_plane()

@@ -9,8 +9,7 @@ decisions/sec plus p50/p95/p99 latency.  Three transports:
   service (the serving hot path, no network);
 * ``http`` — one :class:`~repro.client.HttpClient` per worker thread
   against a running ``python -m repro serve`` (the v2 qid wire by
-  default, negotiated down to v1 against older servers or a sharded
-  front end);
+  default, negotiated down to v1 against older servers);
 * ``async-http`` — one :class:`~repro.client.AsyncHttpClient` shared
   by *workers* coroutine slots on a single event loop, pipelining
   requests over one connection against ``repro serve --async`` (whose
@@ -41,7 +40,7 @@ from __future__ import annotations
 import random
 import threading
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.client import (
     AsyncHttpClient,
@@ -53,11 +52,7 @@ from repro.client import (
 )
 from repro.core.queries import ConjunctiveQuery
 from repro.facebook.workload import WorkloadGenerator, generate_policies
-from repro.server.metrics import (
-    LatencyHistogram,
-    merge_samples,
-    sample_percentile,
-)
+from repro.obs import LatencyHistogram
 from repro.server.service import DisclosureService
 
 __all__ = [
@@ -70,6 +65,23 @@ __all__ = [
 
 #: The transports ``run_load`` (and ``repro loadgen --transport``) accept.
 TRANSPORTS = ("local", "http", "async-http")
+
+
+def merge_samples(sample_lists: Iterable[Sequence[float]]) -> List[float]:
+    """Concatenate and sort raw per-worker latency samples."""
+    merged: List[float] = []
+    for samples in sample_lists:
+        merged.extend(samples)
+    merged.sort()
+    return merged
+
+
+def sample_percentile(sorted_samples: Sequence[float], fraction: float) -> float:
+    """Exact percentile over pre-sorted raw samples (0.0 when empty)."""
+    if not sorted_samples:
+        return 0.0
+    index = min(len(sorted_samples) - 1, int(fraction * len(sorted_samples)))
+    return sorted_samples[index]
 
 
 class OpenLoopSchedule:
@@ -159,7 +171,7 @@ class LoadReport:
         self.open_loop = open_loop
         #: The samples folded into the mergeable log-bucketed form — the
         #: ``--hist-out`` artifact, comparable across runs and shards
-        #: via :func:`repro.server.metrics.aggregate_latency`.
+        #: via :func:`repro.obs.aggregate_latency`.
         self.histogram = LatencyHistogram()
         for sample in samples:
             self.histogram.record(sample)

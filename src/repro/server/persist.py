@@ -18,23 +18,19 @@ This module makes restarts safe and cheap:
   intact.  :func:`load_snapshot` rejects truncation, bit flips, and
   unknown formats with :class:`SnapshotError` and a reason, never a
   crash.
-* **A state directory** — :class:`SnapshotStore` keeps a bounded
-  sequence of ``snapshot-<seq>.json`` files (single-process serving);
-  sharded serving keeps one ``shard-<i>.json`` per worker.
-  :func:`collect_state` merges whatever mixture a directory holds —
-  including files left by a run with a *different* shard count — and
-  :func:`partition_sessions` re-hashes principals for the new topology
-  (CRC-32 shard assignment is shard-count-dependent, so rebalancing is
-  mandatory, not optional).
+* **A state directory** — ``snapshot-<seq>.json`` files: an
+  incremental chain (:class:`SnapshotChain`, single-process serving) or
+  merged full snapshots (:func:`save_pool_snapshot`, the replica pool).
+  :func:`collect_state` replays whatever the directory holds.  Merged
+  pool snapshots carry no replica count, so a restart with a different
+  ``--replicas`` re-partitions the sessions at spawn.
 * **A background snapshotter** — :class:`Snapshotter` runs a snapshot
-  callable every *interval* seconds on a daemon thread; the httpd and
-  every shard worker run one (``repro serve --state-dir DIR
-  --snapshot-interval S``).
+  callable every *interval* seconds on a daemon thread (``repro serve
+  --state-dir DIR --snapshot-interval S``).
 
 The restart-equivalence suite (``tests/server/test_persist.py``) holds
 the core guarantee: decisions after snapshot → kill → warm restart are
-byte-for-byte identical to an uninterrupted service, for the same and
-for a changed shard count.
+byte-for-byte identical to an uninterrupted service.
 """
 
 from __future__ import annotations
@@ -57,6 +53,7 @@ from repro.core.formats import (
     SNAPSHOT_FORMAT_V3,
 )
 from repro.errors import SnapshotError
+from repro.server.partition import merge_snapshot_payloads
 from repro.server.service import DisclosureService
 
 #: Format-version header written on every new full, self-contained
@@ -82,7 +79,6 @@ _SESSIONS_V2 = SESSIONS_FORMAT_V2
 DEFAULT_KEEP = 4
 
 _SNAPSHOT_NAME = re.compile(r"^snapshot-(\d{8})\.json$")
-_SHARD_NAME = re.compile(r"^shard-(\d+)\.json$")
 
 
 # ----------------------------------------------------------------------
@@ -284,29 +280,19 @@ def payload_cache_entries(payload: Dict) -> List[Tuple]:
 # ----------------------------------------------------------------------
 # Snapshot payloads: service state in, service state out
 # ----------------------------------------------------------------------
-def snapshot_service(
-    service: DisclosureService,
-    *,
-    shard_index: Optional[int] = None,
-    shard_count: Optional[int] = None,
-) -> Dict:
+def snapshot_service(service: DisclosureService) -> Dict:
     """The full durable state of *service* as a JSON-compatible payload.
 
     Carries sessions, the interned label cache, and metrics counters,
     in the v2 ID-plane form: the policy, canonical-key, and packed-label
     tables are each stored once and everything else references them by
-    dense integer index (smaller snapshots, faster restore).  Shard
-    workers stamp their ``(index, count)`` so a later restart knows the
-    topology the file was written under.
+    dense integer index (smaller snapshots, faster restore).
     """
-    payload = {
+    return {
         "sessions": encode_sessions(service.export_state()),
         "interning": encode_interned_cache(service.export_label_cache()),
         "metrics": _service_metrics(service),
     }
-    if shard_index is not None and shard_count is not None:
-        payload["shard"] = {"index": shard_index, "count": shard_count}
-    return payload
 
 
 def _service_metrics(service: DisclosureService) -> Dict:
@@ -346,9 +332,7 @@ def restore_service(
     """Load a :func:`snapshot_service` payload into *service*.
 
     Sessions and cache entries always restore; metrics counters restore
-    only with *include_metrics* (a rebalanced restart merges sessions
-    from several old shards, where per-shard counter continuity is no
-    longer meaningful).  Raises :class:`SnapshotError` on a payload that
+    only with *include_metrics*.  Raises :class:`SnapshotError` on a payload that
     does not validate — the service is left with whatever prefix
     imported, so callers restoring into a *fresh* service (the only
     supported direction) should discard it on failure.
@@ -482,7 +466,6 @@ class SnapshotInfo:
         "cache_entries",
         "decisions",
         "bytes",
-        "shard",
     )
 
     def __init__(
@@ -499,7 +482,6 @@ class SnapshotInfo:
         cache_entries: int,
         decisions: int,
         bytes: int,
-        shard: Optional[Dict],
     ):
         self.path = path
         self.format = format
@@ -513,7 +495,6 @@ class SnapshotInfo:
         self.cache_entries = cache_entries
         self.decisions = decisions
         self.bytes = bytes
-        self.shard = shard
 
     def as_dict(self) -> Dict:
         summary: Dict = {
@@ -531,8 +512,6 @@ class SnapshotInfo:
             summary["delta_of"] = self.delta_of
             summary["epoch"] = self.epoch
             summary["removed"] = self.removed
-        if self.shard is not None:
-            summary["shard"] = self.shard
         return summary
 
     def __getitem__(self, key: str):
@@ -580,7 +559,6 @@ def inspect_snapshot(path: "Path | str") -> SnapshotInfo:
         cache_entries=cache_entries,
         decisions=metrics.get("decisions", 0),
         bytes=size,
-        shard=payload.get("shard"),
     )
 
 
@@ -647,13 +625,12 @@ def save_pool_snapshot(
     """Persist one merged snapshot of a replica-pool deployment.
 
     *payloads* are the per-replica ``snapshot_service`` payloads the
-    pool dispatcher gathered over its pipes; they merge through the
-    same topology-free fold the shard router serves
-    (:func:`repro.server.shard.merge_snapshot_payloads` — sessions are
+    pool dispatcher gathered over its pipes; they merge through
+    :func:`repro.server.partition.merge_snapshot_payloads` (sessions are
     partition-disjoint, caches union, counters sum), so the file is an
     ordinary single-service snapshot: a restart with a *different*
-    ``--replicas`` count restores it by re-partitioning, exactly like a
-    resharded restart.  Writes the next ``snapshot-<seq>.json`` through
+    ``--replicas`` count restores it and re-partitions at spawn.
+    Writes the next ``snapshot-<seq>.json`` through
     :class:`SnapshotStore` (full views from merged payloads — the
     delta machinery of :class:`SnapshotChain` needs one service's
     dirty-epoch stream and does not apply here).  Returns the path, or
@@ -661,8 +638,6 @@ def save_pool_snapshot(
     """
     if not payloads:
         return None
-    from repro.server.shard import merge_snapshot_payloads
-
     return SnapshotStore(state_dir, keep=keep).save(
         merge_snapshot_payloads(payloads)
     )
@@ -785,7 +760,7 @@ def compact_chain(state_dir: "Path | str") -> Tuple[Path, List[Path]]:
 
     Replays whatever :func:`collect_state` can trust, writes the merged
     result as the next-sequence *full* v3 generation, and removes every
-    older sequence file (shard files are left alone).  Returns the new
+    older sequence file.  Returns the new
     path and the removed ones.  Raises :class:`SnapshotError` when the
     directory holds nothing replayable.
     """
@@ -823,22 +798,10 @@ def compact_chain(state_dir: "Path | str") -> Tuple[Path, List[Path]]:
     return path, removed
 
 
-def shard_snapshot_path(state_dir: "Path | str", index: int) -> Path:
-    """Where shard *index* keeps its current snapshot."""
-    return Path(state_dir) / f"shard-{index}.json"
-
-
 class CollectedState:
-    """Everything a state directory knows, merged across file kinds."""
+    """Everything a state directory knows, replayed into one state."""
 
-    __slots__ = (
-        "sessions",
-        "cache_entries",
-        "metrics",
-        "sources",
-        "skipped",
-        "sharded",
-    )
+    __slots__ = ("sessions", "cache_entries", "metrics", "sources", "skipped")
 
     def __init__(
         self,
@@ -847,100 +810,67 @@ class CollectedState:
         metrics: Optional[Dict],
         sources: List[Path],
         skipped: List[Tuple[Path, str]],
-        sharded: bool,
     ):
         #: principal -> the export_state per-session dict.
         self.sessions = sessions
         #: decoded ``warm_label_cache`` pairs, deduplicated.
         self.cache_entries = cache_entries
-        #: metrics of the newest source.  Meaningful for a same-shape
-        #: restart (newest file carries the full history); one shard's
-        #: counters are *not* the deployment's, so check :attr:`sharded`
-        #: before restoring them.
+        #: metrics of the newest chain member (it carries the full
+        #: history: every snapshot kind writes its counters in full).
         self.metrics = metrics
         self.sources = sources
         self.skipped = skipped
-        #: True when any contributing file was a per-shard snapshot.
-        self.sharded = sharded
 
 
 def collect_state(state_dir: "Path | str") -> Optional[CollectedState]:
     """The newest complete state a directory holds, plus merged warmth.
 
-    Handles all three directory histories: sequence files from
-    single-process runs, ``shard-<i>.json`` files from sharded runs,
-    and mixtures left by switching between the two.  **Sessions** come
-    only from the newest complete *generation* — the newest valid
-    sequence file, or the merged set of shard files, whichever is
-    newer (by the documents' ``created`` stamps).  Older generations
-    must not contribute sessions: a principal deliberately absent from
-    the newest snapshot (unregistered, or an ephemeral session dropped
-    fresh) would otherwise be resurrected with stale state, breaking
-    restart equivalence.  **Cache entries** merge from every valid
-    file: a label is a pure function of the query, so old warmth is
-    never wrong, only extra.  Damaged files are collected into
-    ``skipped`` and otherwise ignored.  Returns ``None`` when the
-    directory holds no valid snapshot at all.
+    **Sessions** come only from the newest replayable chain of
+    ``snapshot-<seq>.json`` files (a full base plus the deltas linked to
+    it).  Older generations must not contribute sessions: a principal
+    deliberately absent from the newest snapshot (unregistered, or an
+    ephemeral session dropped fresh) would otherwise be resurrected
+    with stale state, breaking restart equivalence.  **Cache entries**
+    merge from every valid file: a label is a pure function of the
+    query, so old warmth is never wrong, only extra.  Damaged files are
+    collected into ``skipped`` and otherwise ignored.  Returns ``None``
+    when the directory holds no valid snapshot at all.
     """
     state_dir = Path(state_dir)
     if not state_dir.is_dir():
         return None
-    # Sequence files carry their chain order in the name; shard files
-    # are ordered by their created stamps.
-    sequence_docs: List[Tuple[int, float, Path, Dict]] = []
-    shard_docs: List[Tuple[float, Path, Dict]] = []
+    sequence_docs: List[Tuple[int, Path, Dict]] = []
     skipped: List[Tuple[Path, str]] = []
     for entry in sorted(state_dir.iterdir()):
         seq_match = _SNAPSHOT_NAME.match(entry.name)
-        if not (seq_match or _SHARD_NAME.match(entry.name)):
+        if not seq_match:
             continue
         try:
             document = load_snapshot(entry)
         except SnapshotError as exc:
             skipped.append((entry, str(exc)))
             continue
-        created = float(document.get("created") or 0.0)
-        if seq_match:
-            sequence_docs.append((int(seq_match.group(1)), created, entry, document))
-        else:
-            shard_docs.append((created, entry, document))
-    if not (sequence_docs or shard_docs):
+        sequence_docs.append((int(seq_match.group(1)), entry, document))
+    if not sequence_docs:
         return None
     sequence_docs.sort(key=lambda item: item[0])
-    shard_docs.sort(key=lambda item: item[0])
 
     chain = _sequence_chain(sequence_docs)
-
-    # The sequence chain is one complete generation; the shard files
-    # together are the other.  The newer one wins sessions.
-    chain_age = chain[-1][1] if chain else float("-inf")
-    shard_age = shard_docs[-1][0] if shard_docs else float("-inf")
-    use_shards = bool(shard_docs) and (not chain or shard_age >= chain_age)
     sessions: Dict[str, Dict] = {}
-    if use_shards:
-        sources = [path for _, path, _ in shard_docs]
-        for _, _, document in shard_docs:  # oldest first: newest wins ties
-            sessions.update(payload_sessions(document["payload"]))
-        newest_payload = shard_docs[-1][2]["payload"]
-    else:
-        sources = [path for _, _, path, _ in chain]
-        for _, _, _, document in chain:
-            payload = document["payload"]
-            delta = payload.get("delta")
-            if isinstance(delta, dict):
-                # Apply a generation's removals before its updates, so
-                # an unregister + re-register in one window nets out to
-                # the re-registered state.
-                for principal in delta.get("removed") or ():
-                    sessions.pop(principal, None)
-            sessions.update(payload_sessions(payload))
-        newest_payload = chain[-1][3]["payload"] if chain else {}
+    for _, _, document in chain:
+        payload = document["payload"]
+        delta = payload.get("delta")
+        if isinstance(delta, dict):
+            # Apply a generation's removals before its updates, so an
+            # unregister + re-register in one window nets out to the
+            # re-registered state.
+            for principal in delta.get("removed") or ():
+                sessions.pop(principal, None)
+        sessions.update(payload_sessions(payload))
+    newest_payload = chain[-1][2]["payload"] if chain else {}
 
     cache: Dict = {}
-    for _, _, _, document in sequence_docs:
-        for key, label in payload_cache_entries(document["payload"]):
-            cache[key] = label
-    for _, _, document in shard_docs:
+    for _, _, document in sequence_docs:
         for key, label in payload_cache_entries(document["payload"]):
             cache[key] = label
 
@@ -948,15 +878,14 @@ def collect_state(state_dir: "Path | str") -> Optional[CollectedState]:
         sessions,
         list(cache.items()),
         newest_payload.get("metrics"),
-        sources,
+        [path for _, path, _ in chain],
         skipped,
-        use_shards,
     )
 
 
 def _sequence_chain(
-    sequence_docs: List[Tuple[int, float, Path, Dict]]
-) -> List[Tuple[int, float, Path, Dict]]:
+    sequence_docs: List[Tuple[int, Path, Dict]]
+) -> List[Tuple[int, Path, Dict]]:
     """The longest replayable suffix chain of a sequence directory.
 
     Finds the newest *full* document (v1/v2, or v3 with ``of: null``)
@@ -969,21 +898,21 @@ def _sequence_chain(
     """
     base_index: Optional[int] = None
     for index in range(len(sequence_docs) - 1, -1, -1):
-        delta = sequence_docs[index][3]["payload"].get("delta")
+        delta = sequence_docs[index][2]["payload"].get("delta")
         if not isinstance(delta, dict) or delta.get("of") is None:
             base_index = index
             break
     if base_index is None:
         return []
     chain = [sequence_docs[base_index]]
-    base_delta = sequence_docs[base_index][3]["payload"].get("delta")
+    base_delta = sequence_docs[base_index][2]["payload"].get("delta")
     expected_of = (
         base_delta.get("generation")
         if isinstance(base_delta, dict)
         else sequence_docs[base_index][0]
     )
     for member in sequence_docs[base_index + 1 :]:
-        delta = member[3]["payload"].get("delta")
+        delta = member[2]["payload"].get("delta")
         if not isinstance(delta, dict) or delta.get("of") != expected_of:
             break
         chain.append(member)
@@ -991,47 +920,11 @@ def _sequence_chain(
     return chain
 
 
-def partition_sessions(
-    sessions: Dict[str, Dict], shard_count: int
-) -> List[Dict[str, Dict]]:
-    """Re-hash principals onto *shard_count* shards.
-
-    CRC-32 shard assignment depends on the shard count, so session
-    files written under one ``--shards N`` must be re-partitioned —
-    never replayed file-to-worker — when N changes.  Re-hashing is also
-    correct when N is unchanged (each principal lands where it was).
-    """
-    from repro.server.shard import shard_for
-
-    partitioned: List[Dict[str, Dict]] = [{} for _ in range(shard_count)]
-    for principal, state in sessions.items():
-        partitioned[shard_for(principal, shard_count)][principal] = state
-    return partitioned
-
-
 def sessions_payload(sessions: Dict[str, Dict]) -> Dict:
     """Wrap per-principal session dicts in the ``export_state`` format."""
     from repro.server.service import _STATE_FORMAT
 
     return {"format": _STATE_FORMAT, "sessions": sessions}
-
-
-def clean_stale_shards(state_dir: "Path | str", shard_count: int) -> List[Path]:
-    """Remove shard files outside ``0..shard_count-1``; returns removals.
-
-    Called after a rebalanced restart has absorbed every old file, so a
-    later restart cannot resurrect sessions from a dead topology.
-    """
-    removed = []
-    state_dir = Path(state_dir)
-    if not state_dir.is_dir():
-        return removed
-    for entry in sorted(state_dir.iterdir()):
-        match = _SHARD_NAME.match(entry.name)
-        if match and int(match.group(1)) >= shard_count:
-            entry.unlink(missing_ok=True)
-            removed.append(entry)
-    return removed
 
 
 # ----------------------------------------------------------------------

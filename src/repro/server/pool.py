@@ -1,15 +1,12 @@
 """The kernel replica pool: a multi-core data plane behind one front end.
 
-``--shards N`` scales by running N complete HTTP servers — every worker
-re-parses JSON, re-frames HTTP, and re-derives the interner plane, and
-the front end pays a full HTTP hop per sub-batch.  This module keeps
-exactly one front end (the asyncio server of :mod:`repro.server.aio`)
-and moves only the *data plane* — the
+The pool keeps exactly one front end (the asyncio server of
+:mod:`repro.server.aio`) and moves only the *data plane* — the
 :class:`~repro.server.kernel.DecisionKernel` — into worker processes:
 
 * **One dispatcher, N kernel replicas.**  The front end's per-tick
-  drain partitions each coalesced batch by owning replica (the same
-  CRC-32 principal assignment as :func:`repro.server.shard.shard_for`),
+  drain partitions each coalesced batch by owning replica (the CRC-32
+  principal assignment of :func:`repro.server.partition.shard_for`),
   ships qid-native sub-batches over ``multiprocessing`` pipes, and
   reassembles replies in arrival order — the drain's order-exactness
   guarantee survives because each tick is dispatched and gathered as a
@@ -33,6 +30,14 @@ and moves only the *data plane* — the
   principals from the mirror (:func:`~repro.server.store.iter_owned_states`),
   re-ships the plane, and replays the in-flight sub-batch once.
 
+* **One event loop owns the pipes.**  Every parent-side operation is a
+  coroutine run by the front end's tick consumer, in order with the
+  decision ticks; synchronous callers (the periodic snapshotter, tests,
+  benchmarks) go through :meth:`ReplicaPool.call`, which queues them on
+  that same consumer.  Only the blocking spawn handshake runs off the
+  loop — before it starts, or in its executor during a respawn — on a
+  fresh pipe nobody else holds.
+
 The pipe protocol is compact JSON frames (``Connection.send_bytes``),
 one request/reply pair per frame except ``plane`` deltas, which are
 one-way (the next batch is their acknowledgement).  Canonical keys ride
@@ -49,15 +54,23 @@ per-replica.
 
 from __future__ import annotations
 
+import asyncio
+import functools
 import json
 import multiprocessing
 import os
+import signal
 from time import perf_counter
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.core.canonical import decode_key, encode_key
 from repro.errors import PolicyError
 from repro.server.kernel import ServiceDecision
+from repro.server.partition import (
+    aggregate_metrics,
+    merge_snapshot_payloads,
+    shard_for,
+)
 from repro.server.service import DisclosureService
 from repro.server.store import (
     SessionState,
@@ -166,11 +179,14 @@ def _replica_worker_main(
     Top-level so it pickles under the ``spawn`` start method.  The loop
     is strictly request/reply (``plane`` frames excepted), so the parent
     and replica can never deadlock on a full pipe: at most one batch is
-    in flight per replica.
+    in flight per replica.  A terminal's Ctrl-C reaches the whole
+    process group; replicas ignore it, because the front end owns
+    shutdown: it takes the final snapshot from them, then stops them.
     """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     if service_kwargs.get("spill_dir"):
         # Spill logs are single-writer: each replica owns its own
-        # subdirectory, exactly like shard workers do.
+        # subdirectory.
         service_kwargs = dict(
             service_kwargs,
             spill_dir=os.path.join(
@@ -253,6 +269,8 @@ def _replica_worker_main(
     service.close()
 
 
+
+
 # ----------------------------------------------------------------------
 # The parent side: the dispatcher
 # ----------------------------------------------------------------------
@@ -281,7 +299,9 @@ class ReplicaPool:
     parsing, interning, the v2 gateway, admin validation, and the
     authoritative session mirror; every decision is dispatched to the
     replica owning its principal.  Construct, :meth:`start`, then hand
-    the pool to :class:`repro.server.aio.AsyncDecisionServer`.
+    the pool to :class:`repro.server.aio.AsyncDecisionServer`.  Every
+    operation past the spawn is a coroutine; synchronous code runs one
+    with :meth:`call`.
     """
 
     def __init__(
@@ -302,14 +322,27 @@ class ReplicaPool:
         self.ready_timeout = ready_timeout
         self._context = multiprocessing.get_context(start_method)
         self._warm_frame: Optional[List] = None
+        self._warm_epoch = -1
         if warm_entries:
             from repro.server.persist import encode_cache_entries
 
+            # The parent owns interning: the warm keys enter its plane
+            # first, in the order each replica's warm import interns
+            # them, so the two planes agree once warming is done.
+            plane, _ = service.kernel.intern_keys(
+                [key for key, _ in warm_entries]
+            )
+            self._warm_epoch = plane.epoch
             self._warm_frame = ["warm", encode_cache_entries(warm_entries)]
         self.handles: List[ReplicaHandle] = []
-        #: Whether mirror applies may touch disk (spill-backed store).
-        #: The async settle path sends those to the executor.
+        #: Whether mirror applies may touch disk (spill-backed store);
+        #: those go to the executor.
         self._mirror_blocking = isinstance(service.store, SpillStore)
+        #: Set by a running front end (:meth:`attach`): queues a job on
+        #: its tick consumer and returns a concurrent future.
+        self._runner: Optional[Callable[[Callable], Any]] = None
+        #: The loop :meth:`call` uses while no front end is attached.
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
         metrics = service.metrics
         #: Dispatch round-trip time (send → all replies applied), per
         #: tick segment; merged at scrape exactly like every histogram.
@@ -347,8 +380,18 @@ class ReplicaPool:
             except OSError:
                 pass
         self.handles = []
+        if self._loop is not None:
+            self._loop.run_until_complete(self._loop.shutdown_default_executor())
+            self._loop.close()
+            self._loop = None
 
     def _spawn(self, index: int) -> ReplicaHandle:
+        """Start replica *index* and bring it up to date — blocking.
+
+        Runs before any loop serves the pool, or in the loop's executor
+        during a respawn; either way the pipe is fresh and only this
+        call holds it.
+        """
         parent_conn, child_conn = self._context.Pipe(duplex=True)
         process = self._context.Process(
             target=_replica_worker_main,
@@ -368,8 +411,13 @@ class ReplicaPool:
             process.terminate()
             raise RuntimeError(f"replica {index} sent {ready!r}, not ready")
         handle = ReplicaHandle(index, process, parent_conn)
-        if self._warm_frame is not None:
-            self._roundtrip(handle, self._warm_frame)
+        plane = self.service.kernel.plane
+        if self._warm_frame is not None and plane.epoch == self._warm_epoch:
+            # Ship the plane holding the warm keys first, so the warm
+            # import finds every key already interned at its qid.
+            for data in self._plane_frames(handle, plane):
+                parent_conn.send_bytes(data)
+            self._handshake(handle, self._warm_frame)
         # Refault this replica's principals from the parent mirror —
         # the same step whether this is a cold start, a warm restart
         # from a snapshot, or a mid-serve respawn after a crash.
@@ -386,8 +434,12 @@ class ReplicaPool:
                 )
             ]
         if rows:
-            self._roundtrip(handle, ["restore", rows])
+            self._handshake(handle, ["restore", rows])
         return handle
+
+    def _handshake(self, handle: ReplicaHandle, frame: List) -> List:
+        handle.conn.send_bytes(_encode(frame))
+        return self._check_reply(handle, _decode(handle.conn.recv_bytes()))
 
     def _respawn(self, handle: ReplicaHandle) -> None:
         """Replace a dead replica in place; callers re-sync and replay."""
@@ -401,9 +453,42 @@ class ReplicaPool:
         fresh = self._spawn(handle.index)
         handle.process = fresh.process
         handle.conn = fresh.conn
-        handle.plane_epoch = -1
-        handle.shipped = 0
+        handle.plane_epoch = fresh.plane_epoch
+        handle.shipped = fresh.shipped
         self.respawns.labels(str(handle.index)).increment()
+
+    async def _respawn_off_loop(self, handle: ReplicaHandle) -> None:
+        """:meth:`_respawn` in the executor: process start plus mirror
+        refault can take seconds, and the loop keeps accepting."""
+        loop = asyncio.get_running_loop()
+        await loop.run_in_executor(None, self._respawn, handle)
+
+    # -- synchronous callers -------------------------------------------
+    def attach(self, runner: Optional[Callable[[Callable], Any]]) -> None:
+        """Route :meth:`call` through a front end's tick consumer.
+
+        *runner* takes a coroutine function, queues it behind the ticks
+        already waiting, and returns a :class:`concurrent.futures.Future`
+        of its result; ``None`` detaches.
+        """
+        self._runner = runner
+
+    def call(self, method: Callable, *args: Any, **kwargs: Any) -> Any:
+        """Run the pool coroutine ``method(*args, **kwargs)`` to completion.
+
+        With a front end attached, the front end's loop runs it, in
+        order with the decision ticks, so no replica pipe is touched
+        from this thread.  Without one it runs on the pool's own loop —
+        there is then no other user of the pipes.  Never call this from
+        the front end's own loop.
+        """
+        job = functools.partial(method, *args, **kwargs)
+        runner = self._runner
+        if runner is not None:
+            return runner(job).result()
+        if self._loop is None:
+            self._loop = asyncio.new_event_loop()
+        return self._loop.run_until_complete(job())
 
     # -- the pipe primitives -------------------------------------------
     def _check_reply(self, handle: ReplicaHandle, reply: Optional[List]) -> List:
@@ -422,22 +507,32 @@ class ReplicaPool:
             raise RuntimeError(f"replica {handle.index} failed: {reply!r}")
         return reply
 
-    def _roundtrip(self, handle: ReplicaHandle, frame: List) -> List:
-        handle.conn.send_bytes(_encode(frame))
-        reply = _decode(handle.conn.recv_bytes())
-        return self._check_reply(handle, reply)
-
-    async def _roundtrip_async(self, handle: ReplicaHandle, frame: List, asyncio) -> List:
-        """:meth:`_roundtrip` awaited through the event loop.
-
-        Both pipe ends are awaited for readiness first; the transfers
-        themselves stay synchronous but bounded — the replica is
-        draining (or filling) the other end concurrently.
-        """
-        await self._send_frame_async(handle, _encode(frame), asyncio)
-        await self._wait_readable(handle, asyncio)
+    async def _roundtrip(self, handle: ReplicaHandle, frame: List) -> List:
+        await self._send(handle, _encode(frame))
+        await self._wait_readable(handle)
         reply = _decode(handle.conn.recv_bytes())  # repro: noqa[ASY01] - readability awaited above; remainder of a large reply streams in while the replica writes it
         return self._check_reply(handle, reply)
+
+    async def _send(self, handle: ReplicaHandle, data: bytes) -> None:
+        """Send one encoded frame without stalling the event loop.
+
+        Pipe buffers are 64 KiB; a plane ship or a wide batch can
+        exceed that while the replica is still busy, which is exactly
+        when a bare ``send_bytes`` would block the loop.  Awaiting
+        writability first keeps the wait on the loop; the send itself
+        then drains against a replica that is actively reading.
+        """
+        await self._wait_writable(handle)
+        handle.conn.send_bytes(data)  # repro: noqa[ASY01] - writability awaited above; bounded drain against a reading replica
+
+    async def _recv_ok(self, handle: ReplicaHandle) -> Optional[List]:
+        """The next ``ok`` reply, or ``None`` (dead pipe, error reply)."""
+        await self._wait_readable(handle)
+        try:
+            reply = _decode(handle.conn.recv_bytes())  # repro: noqa[ASY01] - readability awaited above; bounded drain of an arriving reply
+        except (EOFError, OSError, ValueError):
+            return None
+        return reply if reply and reply[0] == "ok" else None
 
     def _plane_frames(self, handle: ReplicaHandle, plane) -> List[bytes]:
         """The encoded plane rows *handle* is missing, watermark advanced.
@@ -466,29 +561,18 @@ class ReplicaPool:
             ]
         return []
 
-    def _sync_plane(self, handle: ReplicaHandle, plane) -> None:
-        """Ship the qid rows *handle* is missing, ahead of their batch."""
-        for data in self._plane_frames(handle, plane):
-            handle.conn.send_bytes(data)
-
-    async def _sync_plane_async(self, handle: ReplicaHandle, plane, asyncio) -> None:
-        for data in self._plane_frames(handle, plane):
-            await self._send_frame_async(handle, data, asyncio)
-
-    async def _send_frame_async(self, handle: ReplicaHandle, data: bytes, asyncio) -> None:
-        """Send one encoded frame without stalling the event loop.
-
-        Pipe buffers are 64 KiB; a plane ship or a wide batch can
-        exceed that while the replica is still busy, which is exactly
-        when a bare ``send_bytes`` would block the loop.  Awaiting
-        writability first keeps the wait on the loop; the send itself
-        then drains against a replica that is actively reading.
-        """
-        await self._wait_writable(handle, asyncio)
-        handle.conn.send_bytes(data)  # repro: noqa[ASY01] - writability awaited above; bounded drain against a reading replica
+    async def _ship(self, handle: ReplicaHandle, plane, frame: List) -> bool:
+        """Send the plane rows *handle* is missing, then *frame*."""
+        try:
+            for data in self._plane_frames(handle, plane):
+                await self._send(handle, data)
+            await self._send(handle, _encode(frame))
+        except (OSError, ValueError):
+            return False
+        return True
 
     @staticmethod
-    async def _wait_writable(handle: ReplicaHandle, asyncio) -> None:
+    async def _wait_writable(handle: ReplicaHandle) -> None:
         """Yield until *handle*'s pipe accepts writes (or is dead)."""
         try:
             fd = handle.conn.fileno()
@@ -505,84 +589,8 @@ class ReplicaPool:
         finally:
             loop.remove_writer(fd)
 
-    # -- the dispatch core ---------------------------------------------
-    def owner_of(self, principal: Hashable) -> int:
-        from repro.server.shard import shard_for
-
-        return shard_for(principal, self.replicas)
-
-    def decide(
-        self,
-        entries: Sequence[Tuple],
-        *,
-        update: bool,
-        plane=None,
-        timings: Optional[Dict] = None,
-    ) -> List:
-        """The pooled :func:`~repro.server.batch.decide_wire_items`.
-
-        Same entry and result shapes — ``(principal, query, qid)`` in,
-        :class:`ServiceDecision`-or-error-dict out, aligned — so the
-        asyncio drain and both batch routes swap it in transparently.
-        Sub-batches go to every involved replica before any reply is
-        awaited, so replicas decide concurrently; replies are gathered
-        and applied in replica order, and the parent mirror absorbs the
-        touched session states before the call returns.
-        """
-        launched = self._launch(entries, update=update, plane=plane,
-                                timings=timings)
-        results, plane, pending, started = launched
-        for handle, positions, frame, sent in pending:
-            reply = self._try_recv(handle) if sent else None
-            self._settle(handle, positions, frame, plane, reply, results,
-                         update)
-        if pending:
-            self._account(pending, started, timings)
-        return results
-
-    async def decide_async(
-        self,
-        entries: Sequence[Tuple],
-        *,
-        update: bool,
-        plane=None,
-        timings: Optional[Dict] = None,
-    ) -> List:
-        """:meth:`decide` for the asyncio front end: pipes are awaited.
-
-        Sends and replies both go through the event loop's readiness
-        callbacks, so the loop keeps parsing and queueing new requests
-        while replicas compute.  The rare crash-recovery path (respawn +
-        replay) runs in the default executor — correctness over latency
-        when a process just died, but the loop still breathes.
-        """
-        import asyncio
-
-        partitioned = self._partition(entries, update=update, plane=plane,
-                                      timings=timings)
-        results, plane, sub_frames, started = partitioned
-        pending = []
-        for handle, positions, frame in sub_frames:
-            sent = True
-            try:
-                await self._sync_plane_async(handle, plane, asyncio)
-                await self._send_frame_async(handle, _encode(frame), asyncio)
-            except (OSError, ValueError):
-                sent = False
-            pending.append((handle, positions, frame, sent))
-        for handle, positions, frame, sent in pending:
-            reply = None
-            if sent:
-                await self._wait_readable(handle, asyncio)
-                reply = self._try_recv(handle)  # repro: noqa[ASY01] - readability awaited above; bounded drain of an arriving reply
-            await self._settle_async(handle, positions, frame, plane, reply,
-                                     results, update, asyncio)
-        if pending:
-            self._account(pending, started, timings)
-        return results
-
     @staticmethod
-    async def _wait_readable(handle: ReplicaHandle, asyncio) -> None:
+    async def _wait_readable(handle: ReplicaHandle) -> None:
         """Yield until *handle*'s pipe has data (or EOF) to read."""
         try:
             if handle.conn.poll(0):
@@ -601,12 +609,30 @@ class ReplicaPool:
         finally:
             loop.remove_reader(fd)
 
-    def _partition(self, entries, *, update, plane, timings):
-        """Validate, intern, and partition — no pipe I/O yet.
+    # -- the dispatch core ---------------------------------------------
+    def owner_of(self, principal: Hashable) -> int:
+        return shard_for(principal, self.replicas)
 
-        Returns ``(results, plane, sub_frames, started)`` where
-        *sub_frames* is ``[(handle, positions, frame), ...]`` in replica
-        order, ready for either the sync or the awaited send path.
+    async def decide(
+        self,
+        entries: Sequence[Tuple],
+        *,
+        update: bool,
+        plane=None,
+        timings: Optional[Dict] = None,
+    ) -> List:
+        """The pooled :func:`~repro.server.batch.decide_wire_items`.
+
+        Same entry and result shapes — ``(principal, query, qid)`` in,
+        :class:`ServiceDecision`-or-error-dict out, aligned — so the
+        asyncio drain and both batch routes swap it in transparently.
+        Sub-batches go to every involved replica before any reply is
+        awaited, so replicas decide concurrently while the loop keeps
+        parsing and queueing new requests; replies are gathered and
+        applied in replica order, and the parent mirror absorbs the
+        touched session states before the call returns.  A replica
+        that died is respawned off the loop and its sub-batch replayed
+        once.
         """
         service = self.service
         if plane is None:
@@ -614,7 +640,7 @@ class ReplicaPool:
         entries = list(entries)
         results: List = [None] * len(entries)
         if not entries:
-            return results, plane, [], 0.0
+            return results
         label_started = perf_counter() if timings is not None else 0.0
         # Unknown-principal isolation against the parent mirror — the
         # same pre-check decide_wire_items runs, against the same
@@ -648,35 +674,49 @@ class ReplicaPool:
         if timings is not None:
             timings["label_us"] = (perf_counter() - label_started) * 1e6
         started = perf_counter()
-        sub_frames = []
+        pending = []
         for owner in sorted(sub_batches):
             handle = self.handles[owner]
             positions, items = sub_batches[owner]
-            sub_frames.append((handle, positions, ["batch", update, items]))
-        return results, plane, sub_frames, started
-
-    def _launch(self, entries, *, update, plane, timings):
-        """Validate, intern, partition, and send — the non-blocking half."""
-        results, plane, sub_frames, started = self._partition(
-            entries, update=update, plane=plane, timings=timings
-        )
-        pending = []
-        for handle, positions, frame in sub_frames:
-            sent = True
-            try:
-                self._sync_plane(handle, plane)
-                handle.conn.send_bytes(_encode(frame))
-            except (OSError, ValueError):
-                sent = False
+            frame = ["batch", update, items]
+            sent = await self._ship(handle, plane, frame)
             pending.append((handle, positions, frame, sent))
-        return results, plane, pending, started
+        for handle, positions, frame, sent in pending:
+            reply = await self._recv_ok(handle) if sent else None
+            if reply is None:
+                reply = await self._retry(handle, plane, frame)
+            touched = self._absorb(handle, positions, reply, results, update)
+            if not touched:
+                continue
+            if self._mirror_blocking:
+                loop = asyncio.get_running_loop()
+                await loop.run_in_executor(None, self._apply_touched, touched)
+            else:
+                self._apply_touched(touched)  # repro: noqa[ASY01] - RAM mirror: dict puts under an uncontended lock, microseconds
+        if pending:
+            elapsed = perf_counter() - started
+            self.dispatch_seconds.record(elapsed)
+            if timings is not None:
+                timings["decide_us"] = elapsed * 1e6
+            for handle, positions, _, _ in pending:
+                replica = str(handle.index)
+                self.batches.labels(replica).increment()
+                self.items.labels(replica).increment(len(positions))
+        return results
 
-    def _try_recv(self, handle: ReplicaHandle) -> Optional[List]:
+    async def _retry(self, handle, plane, frame) -> Optional[List]:
+        """One respawn + replay: refault from the mirror, re-ship the
+        plane, resend the in-flight sub-batch.  The mirror reflects
+        every *completed* batch, so the replay is exact unless the
+        replica died inside this very frame — the documented
+        at-least-once window (docs/pool.md)."""
         try:
-            reply = _decode(handle.conn.recv_bytes())
-        except (EOFError, OSError, ValueError):
+            await self._respawn_off_loop(handle)
+        except (OSError, ValueError, TimeoutError, RuntimeError):
             return None
-        return reply if reply and reply[0] == "ok" else None
+        if not await self._ship(handle, plane, frame):
+            return None
+        return await self._recv_ok(handle)
 
     def _absorb(
         self, handle, positions, reply, results, update
@@ -713,57 +753,7 @@ class ReplicaPool:
                 }
         return touched if update and touched else None
 
-    def _settle(
-        self, handle, positions, frame, plane, reply, results, update
-    ) -> None:
-        """Apply one replica's reply, retrying once through a respawn."""
-        if reply is None:
-            reply = self._retry(handle, plane, frame)
-        touched = self._absorb(handle, positions, reply, results, update)
-        if touched:
-            self._apply_touched(touched)
-
-    async def _settle_async(
-        self, handle, positions, frame, plane, reply, results, update, asyncio
-    ) -> None:
-        """:meth:`_settle` with the blocking edges moved off the loop.
-
-        The respawn-and-replay retry blocks for up to ``ready_timeout``
-        (process start + mirror refault), so it runs in the default
-        executor.  The mirror apply is a dict update under the parent
-        lock unless the store spills to disk, in which case it goes to
-        the executor too.
-        """
-        if reply is None:
-            loop = asyncio.get_running_loop()
-            reply = await loop.run_in_executor(
-                None, self._retry, handle, plane, frame
-            )
-        touched = self._absorb(handle, positions, reply, results, update)
-        if touched:
-            if self._mirror_blocking:
-                loop = asyncio.get_running_loop()
-                await loop.run_in_executor(None, self._apply_touched, touched)
-            else:
-                self._apply_touched(touched)  # repro: noqa[ASY01] - RAM mirror: dict puts under an uncontended lock, microseconds
-
-    def _retry(self, handle, plane, frame) -> Optional[List]:
-        """One respawn + replay: refault from the mirror, re-ship the
-        plane, resend the in-flight sub-batch.  The mirror reflects
-        every *completed* batch, so the replay is exact unless the
-        replica died inside this very frame — the documented
-        at-least-once window (docs/pool.md)."""
-        try:
-            self._respawn(handle)
-            self._sync_plane(handle, plane)
-            handle.conn.send_bytes(_encode(frame))
-        except (OSError, ValueError, TimeoutError, RuntimeError):
-            return None
-        return self._try_recv(handle)
-
     def _apply_touched(self, rows: List) -> None:
-        if not rows:
-            return
         service = self.service
         with service._lock:
             epoch = service.state_epoch
@@ -778,18 +768,8 @@ class ReplicaPool:
                     ),
                 )
 
-    def _account(self, pending, started: float, timings) -> None:
-        elapsed = perf_counter() - started
-        self.dispatch_seconds.record(elapsed)
-        if timings is not None:
-            timings["decide_us"] = elapsed * 1e6
-        for handle, positions, _, _ in pending:
-            replica = str(handle.index)
-            self.batches.labels(replica).increment()
-            self.items.labels(replica).increment(len(positions))
-
     # -- admin / inline routes -----------------------------------------
-    def dispatch_inline(
+    async def dispatch_inline(
         self, method: str, path: str, body: Optional[Dict]
     ) -> Optional[Tuple[int, object]]:
         """Serve the inline routes that must not run on the parent alone.
@@ -807,9 +787,14 @@ class ReplicaPool:
                 fmt, error = metrics_format(query_string)
                 if error is not None:
                     return 400, {"error": error}
-                return self._render_metrics(fmt, self.metrics_snapshot())
+                snapshot = await self.metrics_snapshot()
+                if fmt == "prometheus":
+                    from repro.obs import render_prometheus
+
+                    return 200, render_prometheus(snapshot)
+                return 200, snapshot
             if route == "/internal/snapshot":
-                return 200, self.merged_snapshot()
+                return 200, await self.merged_snapshot()
             return None
         if method != "POST" or body is None:
             return None
@@ -818,67 +803,21 @@ class ReplicaPool:
                 self.service, method, route, body, transport="async"
             )
             if status == 200:
-                handle, frame = self._admin_frame(route, body)
-                self._admin(handle, frame)
+                await self._admin(route, body)
             return status, payload
         if route == "/v1/batch":
-            return self._batch_v1(body)
+            return await self._batch_v1(body)
         if route == "/v2/batch":
-            return self._batch_v2(body)
+            return await self._batch_v2(body)
         return None
 
-    async def dispatch_inline_async(
-        self, method: str, path: str, body: Optional[Dict]
-    ) -> Optional[Tuple[int, object]]:
-        """:meth:`dispatch_inline` for the asyncio front end.
+    async def _admin(self, route: str, body: Dict) -> None:
+        """Forward a parent-validated admin mutation to its replica.
 
-        Same routes and payloads; replica pipes are awaited through the
-        loop and respawns run in the default executor, so an admin call
-        or merged scrape never stalls concurrently draining batches.
+        A dead replica is respawned, and the respawn's mirror refault
+        already carries the mutation (the parent applied it first), so
+        no replay is needed.
         """
-        import asyncio
-
-        from repro.server.httpd import dispatch, metrics_format
-
-        route, _, query_string = path.partition("?")
-        if method == "GET":
-            if route == "/metrics":
-                fmt, error = metrics_format(query_string)
-                if error is not None:
-                    return 400, {"error": error}
-                snapshot = await self.metrics_snapshot_async(asyncio)
-                return self._render_metrics(fmt, snapshot)
-            if route == "/internal/snapshot":
-                return 200, await self.merged_snapshot_async(asyncio)
-            return None
-        if method != "POST" or body is None:
-            return None
-        if route in ("/v1/register", "/v1/reset"):
-            status, payload = dispatch(
-                self.service, method, route, body, transport="async"
-            )
-            if status == 200:
-                handle, frame = self._admin_frame(route, body)
-                await self._admin_async(handle, frame, asyncio)
-            return status, payload
-        if route == "/v1/batch":
-            return await self._batch_v1_async(body)
-        if route == "/v2/batch":
-            return await self._batch_v2_async(body)
-        return None
-
-    @staticmethod
-    def _render_metrics(fmt: str, snapshot: Dict) -> Tuple[int, object]:
-        if fmt == "prometheus":
-            from repro.obs import render_prometheus
-
-            return 200, render_prometheus(snapshot)
-        return 200, snapshot
-
-    def _admin_frame(
-        self, route: str, body: Dict
-    ) -> Tuple[ReplicaHandle, List]:
-        """The replica forward for a parent-validated admin mutation."""
         principal = body.get("principal")
         handle = self.handles[self.owner_of(principal)]
         if route == "/v1/register":
@@ -886,45 +825,26 @@ class ReplicaPool:
                 list(p)
                 for p in self.service._normalize_policy(body["policy"])
             ]
-            return handle, ["register", principal, partitions]
-        return handle, ["reset", principal]
-
-    def _admin(self, handle: ReplicaHandle, frame: List) -> None:
-        """Forward an admin mutation; a dead replica is respawned, and
-        the respawn's mirror refault already carries the mutation (the
-        parent applied it first), so no replay is needed."""
+            frame = ["register", principal, partitions]
+        else:
+            frame = ["reset", principal]
         try:
-            self._roundtrip(handle, frame)
+            await self._roundtrip(handle, frame)
         except (OSError, EOFError, ValueError, RuntimeError):
             try:
-                self._respawn(handle)
+                await self._respawn_off_loop(handle)
             except (OSError, TimeoutError, RuntimeError):
                 pass  # the next dispatch will retry the respawn
 
-    async def _admin_async(self, handle: ReplicaHandle, frame: List, asyncio) -> None:
-        """:meth:`_admin` awaited; the recovery respawn (process start +
-        mirror refault, potentially seconds) runs in the executor."""
-        try:
-            await self._roundtrip_async(handle, frame, asyncio)
-        except (OSError, EOFError, ValueError, RuntimeError):
-            loop = asyncio.get_running_loop()
-            try:
-                await loop.run_in_executor(None, self._respawn, handle)
-            except (OSError, TimeoutError, RuntimeError):
-                pass  # the next dispatch will retry the respawn
-
-    def _batch_v1_prepare(self, body: Dict):
-        """Parse and pre-validate a v1 batch on the parent — no pipes.
-
-        Returns ``(error, results, positions, entries, peek)``; *error*
-        is a ready HTTP response when validation already failed.
-        """
+    async def _batch_v1(self, body: Dict) -> Tuple[int, Dict]:
+        """``POST /v1/batch`` pooled: parse on the parent, decide on the
+        replicas, reassemble in input order (the v1 error shapes)."""
         from repro.server.batch import parse_wire_request
         from repro.server.httpd import validate_batch_body
 
         requests, peek, error = validate_batch_body(body)
         if error is not None:
-            return error, [], [], [], False
+            return error
         service = self.service
         results: List[Optional[Dict]] = [None] * len(requests)
         positions: List[int] = []
@@ -940,10 +860,7 @@ class ReplicaPool:
                 continue
             positions.append(index)
             entries.append((principal, item[1], None))
-        return None, results, positions, entries, peek
-
-    @staticmethod
-    def _batch_v1_finish(results, positions, decided) -> Tuple[int, Dict]:
+        decided = await self.decide(entries, update=not peek)
         for position, decision in zip(positions, decided):
             if isinstance(decision, ServiceDecision):
                 results[position] = decision.as_dict()
@@ -953,27 +870,7 @@ class ReplicaPool:
                 }
         return 200, {"decisions": results, "count": len(results)}
 
-    def _batch_v1(self, body: Dict) -> Tuple[int, Dict]:
-        """``POST /v1/batch`` pooled: parse on the parent, decide on the
-        replicas, reassemble in input order (the v1 error shapes)."""
-        error, results, positions, entries, peek = self._batch_v1_prepare(body)
-        if error is not None:
-            return error
-        decided = self.decide(entries, update=not peek) if entries else []
-        return self._batch_v1_finish(results, positions, decided)
-
-    async def _batch_v1_async(self, body: Dict) -> Tuple[int, Dict]:
-        error, results, positions, entries, peek = self._batch_v1_prepare(body)
-        if error is not None:
-            return error
-        decided = (
-            await self.decide_async(entries, update=not peek)
-            if entries
-            else []
-        )
-        return self._batch_v1_finish(results, positions, decided)
-
-    def _batch_v2(self, body: Dict) -> Tuple[int, object]:
+    async def _batch_v2(self, body: Dict) -> Tuple[int, object]:
         """``POST /v2/batch`` pooled: the stdlib handler with the decide
         core swapped for the pool dispatch."""
         from repro.server.wire2 import (
@@ -988,59 +885,25 @@ class ReplicaPool:
             )
         except WireError as exc:
             return exc.status, exc.payload()
-        results = self.decide(entries, update=not peek, plane=plane)
-        return 200, render_batch(results, principal_indices, compact)
-
-    async def _batch_v2_async(self, body: Dict) -> Tuple[int, object]:
-        from repro.server.wire2 import (
-            WireError,
-            render_batch,
-            resolve_batch,
-        )
-
-        try:
-            peek, compact, principal_indices, plane, entries = resolve_batch(
-                self.service, body
-            )
-        except WireError as exc:
-            return exc.status, exc.payload()
-        results = await self.decide_async(entries, update=not peek, plane=plane)
+        results = await self.decide(entries, update=not peek, plane=plane)
         return 200, render_batch(results, principal_indices, compact)
 
     # -- merged views ---------------------------------------------------
-    def metrics_snapshot(self) -> Dict:
+    async def metrics_snapshot(self) -> Dict:
         """One deployment-wide ``/metrics`` payload, merged at scrape.
 
-        Replica snapshots merge exactly like the shard router's
-        (counters sum, latency percentiles re-derive from merged
-        buckets, registry series merge); the parent's own registry —
-        request counters, pool dispatch timing, respawn counts — is
-        folded in on top.  The parent never decides, so nothing double
-        counts.
+        Replica snapshots merge through
+        :func:`~repro.server.partition.aggregate_metrics` (counters sum,
+        latency percentiles re-derive from merged buckets, registry
+        series merge); the parent's own registry — request counters,
+        pool dispatch timing, respawn counts — is folded in on top.
+        The parent never decides, so nothing double counts.
         """
-        snapshots = []
-        for handle in self.handles:
-            reply = self._admin_reply(handle, ["metrics"])
-            if reply is not None:
-                snapshots.append(reply[1])
-        return self._merge_metrics(snapshots)
-
-    async def metrics_snapshot_async(self, asyncio) -> Dict:
-        """:meth:`metrics_snapshot` with the replica scrapes awaited."""
-        snapshots = []
-        for handle in self.handles:
-            reply = await self._admin_reply_async(handle, ["metrics"], asyncio)
-            if reply is not None:
-                snapshots.append(reply[1])
-        return self._merge_metrics(snapshots)
-
-    def _merge_metrics(self, snapshots: List[Dict]) -> Dict:
         from repro.obs import merge_registry_snapshots
-        from repro.server.shard import aggregate_metrics
 
-        merged = aggregate_metrics(snapshots)
-        merged["replica_count"] = merged.pop("shard_count", len(snapshots))
-        merged["replicas"] = merged.pop("shards", snapshots)
+        merged = aggregate_metrics(await self._collect("metrics"))
+        merged["replica_count"] = merged.pop("shard_count")
+        merged["replicas"] = merged.pop("shards")
         parent = self.service.metrics_snapshot()
         merged["uptime_seconds"] = max(
             merged.get("uptime_seconds", 0.0),
@@ -1051,58 +914,31 @@ class ReplicaPool:
         )
         return merged
 
-    def snapshot_payloads(self) -> List[Dict]:
+    async def snapshot_payloads(self) -> List[Dict]:
         """Every live replica's snapshot payload (sessions, cache,
         counters) — the inputs of the pooled snapshot merge."""
-        payloads = []
+        return await self._collect("snapshot")
+
+    async def merged_snapshot(self) -> Dict:
+        """The replica payloads folded into one restorable payload that
+        is independent of the replica count."""
+        return merge_snapshot_payloads(await self.snapshot_payloads())
+
+    async def _collect(self, kind: str) -> List:
+        """Every reachable replica's answer to a *kind* frame, in order;
+        a dead replica is respawned and asked once more."""
+        answers = []
         for handle in self.handles:
-            reply = self._admin_reply(handle, ["snapshot"])
-            if reply is not None:
-                payloads.append(reply[1])
-        return payloads
-
-    def merged_snapshot(self) -> Dict:
-        """The replica payloads folded into one restorable, topology-free
-        payload — the same merge form the shard router serves."""
-        from repro.server.shard import merge_snapshot_payloads
-
-        return merge_snapshot_payloads(self.snapshot_payloads())
-
-    async def merged_snapshot_async(self, asyncio) -> Dict:
-        """:meth:`merged_snapshot` with the replica reads awaited."""
-        from repro.server.shard import merge_snapshot_payloads
-
-        payloads = []
-        for handle in self.handles:
-            reply = await self._admin_reply_async(
-                handle, ["snapshot"], asyncio
-            )
-            if reply is not None:
-                payloads.append(reply[1])
-        return merge_snapshot_payloads(payloads)
-
-    def _admin_reply(self, handle: ReplicaHandle, frame: List) -> Optional[List]:
-        try:
-            return self._roundtrip(handle, frame)
-        except (OSError, EOFError, ValueError, RuntimeError):
             try:
-                self._respawn(handle)
-                return self._roundtrip(handle, frame)
-            except (OSError, EOFError, ValueError, TimeoutError, RuntimeError):
-                return None
-
-    async def _admin_reply_async(
-        self, handle: ReplicaHandle, frame: List, asyncio
-    ) -> Optional[List]:
-        try:
-            return await self._roundtrip_async(handle, frame, asyncio)
-        except (OSError, EOFError, ValueError, RuntimeError):
-            loop = asyncio.get_running_loop()
-            try:
-                await loop.run_in_executor(None, self._respawn, handle)
-                return await self._roundtrip_async(handle, frame, asyncio)
-            except (OSError, EOFError, ValueError, TimeoutError, RuntimeError):
-                return None
+                reply = await self._roundtrip(handle, [kind])
+            except (OSError, EOFError, ValueError, RuntimeError):
+                try:
+                    await self._respawn_off_loop(handle)
+                    reply = await self._roundtrip(handle, [kind])
+                except (OSError, EOFError, ValueError, TimeoutError, RuntimeError):
+                    continue
+            answers.append(reply[1])
+        return answers
 
 
 # ----------------------------------------------------------------------

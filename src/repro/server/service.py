@@ -14,7 +14,7 @@ very many principals.  Three observations make it fast and small:
 * **Decisions are integer ops** — queries and labels are interned into
   dense ids (:mod:`repro.server.interning`) and every decision runs
   through the one array-native :class:`~repro.server.kernel.DecisionKernel`,
-  whether it arrives as a single call, a batch, or a shard sub-batch.
+  whether it arrives as a single call, a batch, or a replica sub-batch.
 
 The service itself is the *session store and transport adapter*: it
 owns registration, the LRU of compiled sessions, serializable state,
@@ -152,7 +152,7 @@ class DisclosureService:
     caches and counters lock independently.  The service is *not*
     shareable across processes; for multi-process deployments each
     worker owns its own service and principals are hash-partitioned
-    across workers by :class:`repro.server.shard.ShardRouter` (labels
+    across workers by :class:`repro.server.pool.ReplicaPool` (labels
     are principal-free, so workers can still share cache warmth through
     :meth:`export_label_cache` / :meth:`warm_label_cache`).
 
@@ -186,7 +186,7 @@ class DisclosureService:
         disables caching — the benchmark's cold series).
     parse_cache_size:
         Entries in the request-text → parsed-query memo used by
-        :meth:`submit_text`.
+        :meth:`parse`.
     default_policy:
         When given, unknown principals get a session with this policy on
         first contact instead of raising.  Such sessions are *ephemeral*:
@@ -589,9 +589,9 @@ class DisclosureService:
         """The shared label cache as picklable ``(key, label)`` pairs.
 
         Labels are principal-free, so these entries are valid for any
-        service over the same security views — shard workers import
-        them at spawn so every shard starts warm
-        (:func:`repro.server.shard.start_shard_workers`).  The kernel
+        service over the same security views — kernel replicas import
+        them at spawn so every replica starts warm
+        (:class:`repro.server.pool.ReplicaPool`).  The kernel
         translates its private qid/lid plane back to canonical keys and
         packed labels on the way out.
         """
@@ -625,42 +625,6 @@ class DisclosureService:
         query = parse_text(text, dialect, me, schema=self.schema)
         self.parse_cache.put(key, query)
         return query
-
-    def submit_text(
-        self, principal: Hashable, text: str, dialect: str = "sql", me: int = 1
-    ) -> ServiceDecision:
-        """Deprecated: parse client-side and :meth:`submit` the query.
-
-        .. deprecated:: PR 5
-            Text front ends belong to the client layer now — parse once
-            with :func:`repro.client.parse_text` (or hold parsed
-            queries) and call :meth:`submit` /
-            :meth:`repro.client.DecisionClient.submit`.  This shim
-            routes through the same parse path and will be removed.
-        """
-        import warnings
-
-        warnings.warn(
-            "DisclosureService.submit_text is deprecated; parse with "
-            "repro.client.parse_text and call submit()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.submit(principal, self.parse(text, dialect, me))
-
-    def peek_text(
-        self, principal: Hashable, text: str, dialect: str = "sql", me: int = 1
-    ) -> ServiceDecision:
-        """Deprecated twin of :meth:`submit_text` (see there)."""
-        import warnings
-
-        warnings.warn(
-            "DisclosureService.peek_text is deprecated; parse with "
-            "repro.client.parse_text and call peek()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.peek(principal, self.parse(text, dialect, me))
 
     # ------------------------------------------------------------------
     # Serializable session state

@@ -5,9 +5,8 @@ request: a steady-state deployment whose traffic cycles a few thousand
 query shapes pays datalog/SQL parsing, canonicalization, and key
 hashing per decision — work the in-process path eliminated long ago
 through the interned ID plane.  The v2 protocol extends that plane
-across the wire, exactly the way the in-process shard router already
-ships qids plus interner deltas to its backends
-(:meth:`repro.server.shard.ShardRouter._local_qids`):
+across the wire, exactly the way the replica pool ships qids plus
+interner deltas to its kernel replicas (:mod:`repro.server.pool`):
 
 * The **client** runs its own
   :class:`~repro.server.interning.QueryInterner` under a random
@@ -75,8 +74,7 @@ from repro.server.kernel import ServiceDecision
 GENERATION_CAP = 64
 
 #: Canonical keys one generation may hold; deltas past this are refused
-#: (clients rotate to a fresh generation instead, like the shard
-#: router's interner reset).
+#: (clients rotate to a fresh generation instead).
 GENERATION_KEYS_CAP = 1 << 16
 
 #: The v2 error codes (see the module docstring for the taxonomy).

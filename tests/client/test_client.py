@@ -306,7 +306,7 @@ class TestContentNegotiation:
 class TestShardedClient:
     def test_routes_and_aggregates(self, views, queries):
         from repro.client import ShardedClient
-        from repro.server.shard import shard_for
+        from repro.server.partition import shard_for
 
         services = [DisclosureService(views) for _ in range(3)]
         client = ShardedClient.for_services(services)
@@ -321,25 +321,86 @@ class TestShardedClient:
         metrics = client.metrics()
         assert metrics["decisions"] == len(principals)
         assert metrics["shard_count"] == 3
+        assert [shard["decisions"] for shard in metrics["shards"]] == [
+            service.decisions.value for service in services
+        ]
         snapshot = client.snapshot()
         assert len(snapshot["sessions"]["sessions"]) == len(principals)
+        assert snapshot["metrics"]["decisions"] == len(principals)
 
-    def test_router_client_helper(self, views, queries):
-        from repro.server.shard import LocalShardBackend, ShardRouter
 
-        router = ShardRouter(
-            [LocalShardBackend(DisclosureService(views)) for _ in range(2)]
+    @staticmethod
+    def _deployment(views, seed: int, shards: int = 3):
+        """One service and a ShardedClient over *shards* services, both
+        with the same 18 registered principals, plus their traffic."""
+        import random
+
+        from repro.client import ShardedClient
+        from repro.facebook.workload import WorkloadGenerator, generate_policies
+
+        principals = [f"app-{index}" for index in range(18)]
+        policies = generate_policies(
+            views.names, len(principals), max_partitions=5, max_elements=25,
+            seed=seed,
         )
-        client = router.client()
-        client.register("app", CHINESE_WALL)
-        assert client.submit("app", queries["birthday"])["accepted"]
+        single = LocalClient(DisclosureService(views))
+        services = [DisclosureService(views) for _ in range(shards)]
+        sharded = ShardedClient.for_services(services)
+        for principal, policy in zip(principals, policies):
+            single.register(principal, policy)
+            sharded.register(principal, policy)
+        queries = list(WorkloadGenerator(max_subqueries=1, seed=seed).stream(96))
+        rng = random.Random(seed + 100)
+        traffic = [
+            (rng.choice(principals), rng.choice(queries)) for _ in range(400)
+        ]
+        return single, sharded, services, traffic
 
-    def test_sharded_front_end_rejects_v2_with_a_hint(self, views):
-        from repro.server.shard import LocalShardBackend, ShardRouter
+    @staticmethod
+    def _uncached(decisions):
+        """Decisions without ``cached``: label-cache warmth is per shard."""
+        return [
+            {key: value for key, value in decision.items() if key != "cached"}
+            for decision in decisions
+        ]
 
-        router = ShardRouter([LocalShardBackend(DisclosureService(views))])
-        status, payload = router.dispatch(
-            "POST", "/v2/query", {"gen": "x", "qid": 0, "principal": "app"}
-        )
-        assert status == 501
-        assert "shard-aware client" in payload["error"]
+    def test_batches_match_one_service(self, views):
+        single, sharded, _, traffic = self._deployment(views, 6)
+        want = [single.submit(p, q) for p, q in traffic]
+        got = []
+        for start in range(0, len(traffic), 83):
+            got.extend(sharded.submit_many(traffic[start : start + 83]))
+        assert self._uncached(got) == self._uncached(want)
+
+    def test_single_submits_match_one_service(self, views):
+        single, sharded, _, traffic = self._deployment(views, 8)
+        for principal, query in traffic[:200]:
+            assert self._uncached(
+                [sharded.submit(principal, query)]
+            ) == self._uncached([single.submit(principal, query)])
+
+    def test_peek_many_routes_and_changes_nothing(self, views):
+        single, sharded, services, traffic = self._deployment(views, 9)
+        sharded.submit_many(traffic[:100])
+        single.submit_many(traffic[:100])
+        states = [service.export_state() for service in services]
+        want = single.peek_many(traffic[100:250])
+        got = sharded.peek_many(traffic[100:250])
+        assert self._uncached(got) == self._uncached(want)
+        assert [service.export_state() for service in services] == states
+
+    def test_warmed_shards_are_byte_identical(self, views):
+        """With every label cache warmed from one export, even the
+        ``cached`` flags agree: full equality across routes."""
+        single, sharded, services, traffic = self._deployment(views, 7)
+        warmup = DisclosureService(views)
+        warmup.kernel.resolve_queries([query for _, query in traffic])
+        entries = warmup.export_label_cache()
+        assert entries
+        single.service.warm_label_cache(entries)
+        for service in services:
+            assert service.warm_label_cache(entries) == len(entries)
+        want = single.submit_many(traffic)
+        got = sharded.submit_many(traffic)
+        assert got == want
+        assert all(decision["cached"] for decision in got)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import socket
 import urllib.error
 import urllib.request
 
@@ -153,6 +154,71 @@ class TestV1Routes:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=10)
         assert excinfo.value.code == 400
+
+
+def _raw_exchange(handle, payload: bytes) -> list:
+    """Send raw bytes and read until the server closes; returns the
+    ``(status, json body)`` of every response it wrote."""
+    with socket.create_connection((handle.host, handle.port), timeout=5) as sock:
+        sock.sendall(payload)
+        received = b""
+        while True:
+            data = sock.recv(65536)
+            if not data:
+                break
+            received += data
+    responses = []
+    while received:
+        head, _, rest = received.partition(b"\r\n\r\n")
+        status = int(head.split(b" ", 2)[1])
+        length = next(
+            int(line.split(b":", 1)[1])
+            for line in head.split(b"\r\n")
+            if line.lower().startswith(b"content-length:")
+        )
+        responses.append((status, json.loads(rest[:length])))
+        received = rest[length:]
+    return responses
+
+
+class TestStrictFraming:
+    """Only one framing of a request is ever possible: anything a proxy
+    and this parser could split differently is refused, and the
+    connection closes before the bytes after it are read as requests."""
+
+    def test_duplicate_content_length_is_refused(self, service, async_server):
+        hidden = json.dumps({"principal": "app", "fql": MUSIC}).encode()
+        smuggled = (
+            b"POST /v1/query HTTP/1.1\r\n"
+            + f"Content-Length: {len(hidden)}\r\n\r\n".encode()
+            + hidden
+        )
+        body = b"{}" + smuggled
+        responses = _raw_exchange(
+            async_server,
+            b"POST /v1/peek HTTP/1.1\r\nContent-Length: 2\r\n"
+            + f"Content-Length: {len(body)}\r\n\r\n".encode()
+            + body,
+        )
+        assert responses == [(400, {"error": "duplicate Content-Length"})]
+        assert service.decisions.value == 0
+
+    def test_negative_content_length_is_refused(self, async_server):
+        responses = _raw_exchange(
+            async_server,
+            b"POST /v1/peek HTTP/1.1\r\nContent-Length: -5\r\n\r\n{}",
+        )
+        assert responses == [(400, {"error": "bad Content-Length"})]
+
+    def test_transfer_encoding_is_not_implemented(self, service, async_server):
+        responses = _raw_exchange(
+            async_server,
+            b"POST /v1/query HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+            b"2\r\n{}\r\n0\r\n\r\n",
+        )
+        assert [status for status, _ in responses] == [501]
+        assert "Transfer-Encoding" in responses[0][1]["error"]
+        assert service.decisions.value == 0
 
 
 class TestTickCoalescing:

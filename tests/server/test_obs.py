@@ -20,7 +20,6 @@ from repro.obs import PROMETHEUS_CONTENT_TYPE, parse_prometheus, sample_value
 from repro.server.aio import start_async_background
 from repro.server.httpd import start_background
 from repro.server.service import DisclosureService
-from repro.server.shard import LocalShardBackend, ShardRouter
 
 CHINESE_WALL = [["user_birthday", "public_profile"], ["user_likes"]]
 BIRTHDAY = "SELECT birthday FROM user WHERE uid = me()"
@@ -197,43 +196,68 @@ class TestAsyncFrontEnd:
         assert snapshot["peeks"] == 9
 
 
-class TestShardedRouter:
-    @pytest.fixture()
-    def router_server(self, views):
-        router = ShardRouter(
-            [LocalShardBackend(DisclosureService(views)) for _ in range(2)]
-        )
-        router.register("app", CHINESE_WALL)
-        router.register("other", CHINESE_WALL)
-        server, _thread = start_background(router)
-        host, port = server.server_address[:2]
-        yield f"http://{host}:{port}", router
-        server.shutdown()
-        server.server_close()
+class TestPooledFrontEnd:
+    def test_merged_prometheus_agrees_with_merged_json(self, views, schema):
+        from repro.server.pool import start_pooled_background
 
-    def test_merged_prometheus_agrees_with_merged_json(self, router_server):
-        base_url, router = router_server
-        for principal in ("app", "other") * 3:
-            _post(
-                f"{base_url}/v1/query", {"principal": principal, "fql": BIRTHDAY}
+        handle = start_pooled_background(
+            2, service_kwargs={"security_views": views, "schema": schema}
+        )
+        base_url = f"http://{handle.host}:{handle.port}"
+        try:
+            for principal in ("app", "other"):
+                _post(
+                    f"{base_url}/v1/register",
+                    {"principal": principal, "policy": CHINESE_WALL},
+                )
+            for principal in ("app", "other") * 3:
+                _post(
+                    f"{base_url}/v1/query",
+                    {"principal": principal, "fql": BIRTHDAY},
+                )
+            snapshot, parsed = _assert_forms_agree(base_url)
+            assert snapshot["decisions"] == 6
+            assert snapshot["replica_count"] == 2
+            # The merged totals equal the sum over the replicas.
+            replica_total = sum(
+                replica["decisions"] for replica in snapshot["replicas"]
             )
-        snapshot, parsed = _assert_forms_agree(base_url)
-        assert snapshot["decisions"] == 6
-        # The merged totals equal the sum over the per-shard services.
-        shard_total = sum(
-            backend.service.decisions.value for backend in router.backends
-        )
-        assert sample_value(parsed, "repro_decisions_total") == shard_total
+            assert sample_value(parsed, "repro_decisions_total") == replica_total
+        finally:
+            handle.stop()
 
-    def test_trace_ring_merges_with_shard_tags(self, router_server):
-        base_url, router = router_server
-        status, _, raw = _get(f"{base_url}/internal/trace")
+    def test_trace_ring_records_pooled_requests(self, views, schema):
+        """Replicas only decide: the front end builds every span and
+        records it in its own ring, which ``/internal/trace`` serves."""
+        from repro.server.pool import start_pooled_background
+
+        handle = start_pooled_background(
+            2, service_kwargs={"security_views": views, "schema": schema}
+        )
+        base_url = f"http://{handle.host}:{handle.port}"
+        try:
+            _post(
+                f"{base_url}/v1/register",
+                {"principal": "app", "policy": CHINESE_WALL},
+            )
+            client = HttpClient(base_url, trace=True)
+            started = time.perf_counter()
+            decision = client.submit(
+                "app", parse_text(BIRTHDAY, "fql", schema=schema)
+            )
+            wall = time.perf_counter() - started
+            client.close()
+            status, _, raw = _get(f"{base_url}/internal/trace")
+        finally:
+            handle.stop()
+        span = decision["trace"]
+        assert span["transport"] == "async"
+        _span_is_sane(span, wall)
         assert status == 200
         ring = json.loads(raw)
-        assert ring["capacity"] == sum(
-            backend.service.traces.capacity for backend in router.backends
-        )
-        assert len(ring["shards"]) == 2
+        assert ring["capacity"] == handle.service.traces.capacity
+        assert ring["recorded"] == 1
+        assert ring["traces"][0]["principal"] == "app"
 
 
 def _span_is_sane(span, wall_seconds):

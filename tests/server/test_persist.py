@@ -5,9 +5,8 @@ Two properties carry the subsystem:
 * **Restart equivalence** — decisions after serve → snapshot → kill →
   warm-restart are byte-for-byte identical to an uninterrupted service,
   including refusals, the ``cached`` flag, and session evolution — for
-  a same-shape restart *and* for restarts that change the shard count
-  (sessions are re-hashed, because CRC-32 shard assignment depends on
-  the count).
+  a single-process restart *and* for a replica-pool restart that
+  changes the replica count (sessions are re-partitioned at spawn).
 * **Corruption safety** — a truncated, bit-flipped, or wrong-format
   snapshot is rejected with :class:`SnapshotError` and a clear reason,
   and the store falls back to the newest *valid* generation.
@@ -29,29 +28,20 @@ from repro.server.persist import (
     SnapshotChain,
     SnapshotStore,
     Snapshotter,
-    clean_stale_shards,
     collect_state,
     compact_chain,
     decode_cache_entries,
     encode_cache_entries,
     inspect_snapshot,
     load_snapshot,
-    partition_sessions,
     restore_service,
+    save_pool_snapshot,
     save_snapshot,
     sessions_payload,
-    shard_snapshot_path,
     snapshot_service,
 )
-from repro.server.loadgen import query_to_datalog
+from repro.server.pool import ReplicaPool
 from repro.server.service import DisclosureService
-from repro.server.shard import (
-    LocalShardBackend,
-    ShardRouter,
-    serve_sharded,
-    shard_for,
-    stop_shard_workers,
-)
 
 PRINCIPALS = 12
 
@@ -83,11 +73,11 @@ def _covering_traffic(seed: int, count: int):
     """Random traffic prefixed so every query shape occurs at least once.
 
     Equivalence phases use this for the *pre-snapshot* stream: a shape
-    first seen after the restart would be a per-shard cache miss in a
-    sharded deployment but a hit in the single-service reference —
-    a warmth difference sharding always had (PR 2 strips ``cached`` for
-    it), not something restarts introduce; full phase-1 coverage keeps
-    the post-restart comparison byte-exact, ``cached`` included.
+    first seen after the restart would be a per-replica cache miss in a
+    pooled deployment but a hit in the single-service reference — a
+    warmth difference, not something restarts introduce; full phase-1
+    coverage keeps the post-restart comparison byte-exact, ``cached``
+    included.
     """
     covering = [
         (f"app-{index % PRINCIPALS}", query)
@@ -105,6 +95,28 @@ def _registered_service(views, policies) -> DisclosureService:
 
 def _wire(decisions) -> str:
     return json.dumps([d.as_dict() for d in decisions], sort_keys=True)
+
+
+def _registered_pool(views, policies, replicas: int) -> ReplicaPool:
+    """A started replica pool over a fresh parent, policies registered."""
+    kwargs = {"security_views": views}
+    pool = ReplicaPool(
+        DisclosureService(**kwargs), replicas, service_kwargs=kwargs
+    ).start()
+    for index, policy in enumerate(policies):
+        status, _ = pool.call(
+            pool.dispatch_inline,
+            "POST",
+            "/v1/register",
+            {"principal": f"app-{index}", "policy": policy},
+        )
+        assert status == 200
+    return pool
+
+
+def _close_pool(pool: ReplicaPool) -> None:
+    pool.close()
+    pool.service.close()
 
 
 # ----------------------------------------------------------------------
@@ -339,48 +351,44 @@ class TestRestartEquivalence:
             )
 
     @pytest.mark.parametrize("old_count,new_count", [(2, 3), (3, 2), (2, 1)])
-    def test_shard_count_change_is_byte_identical(
+    def test_replica_count_change_is_byte_identical(
         self, views, tmp_path, old_count, new_count
     ):
-        """Serve sharded → snapshot per shard → restart with a different
-        ``--shards N`` → decisions match an uninterrupted service."""
+        """Serve pooled → merged snapshot → restart with a different
+        replica count → decisions match an uninterrupted service,
+        ``cached`` included (the replicas warm from the snapshot)."""
         policies, reference, before = self._warm_pair(views)
-        old = ShardRouter([LocalShardBackend() for _ in range(old_count)])
-        for index, policy in enumerate(policies):
-            old.register(f"app-{index}", policy)
-        for principal, query in before:
-            old.submit(principal, query)
-
-        for index, backend in enumerate(old.backends):
-            save_snapshot(
-                shard_snapshot_path(tmp_path, index),
-                snapshot_service(
-                    backend.service, shard_index=index, shard_count=old_count
-                ),
+        old = _registered_pool(views, policies, old_count)
+        try:
+            old.call(
+                old.decide, [(p, q, None) for p, q in before], update=True
             )
+            assert save_pool_snapshot(
+                tmp_path, old.call(old.snapshot_payloads)
+            ) is not None
+        finally:
+            _close_pool(old)
 
         collected = collect_state(tmp_path)
         assert len(collected.sessions) == PRINCIPALS
-        slices = partition_sessions(collected.sessions, new_count)
-        assert all(
-            shard_for(principal, new_count) == index
-            for index, shard_sessions in enumerate(slices)
-            for principal in shard_sessions
-        )
-        new = ShardRouter([LocalShardBackend() for _ in range(new_count)])
-        for index, shard_sessions in enumerate(slices):
-            if shard_sessions:
-                new.backends[index].service.import_state(
-                    sessions_payload(shard_sessions)
-                )
-            new.backends[index].service.warm_label_cache(
-                collected.cache_entries
+        parent = DisclosureService(views)
+        parent.import_state(sessions_payload(collected.sessions))
+        new = ReplicaPool(
+            parent,
+            new_count,
+            service_kwargs={"security_views": views},
+            warm_entries=collected.cache_entries,
+        ).start()
+        try:
+            after = _traffic(100 + new_count, 250)
+            got = new.call(
+                new.decide, [(p, q, None) for p, q in after], update=True
             )
-
-        after = _traffic(100 + new_count, 250)
-        assert _wire(
+        finally:
+            _close_pool(new)
+        assert _wire(got) == _wire(
             [reference.submit(p, q) for p, q in after]
-        ) == _wire([new.submit(p, q) for p, q in after])
+        )
 
     def test_warm_restart_restores_the_cache_hit_rate(self, views, tmp_path):
         """The ≥90% acceptance bar, deterministically: a warm-restarted
@@ -421,29 +429,6 @@ class TestRestartEquivalence:
 # State-directory collection
 # ----------------------------------------------------------------------
 class TestCollectState:
-    def test_newest_file_wins_for_a_duplicated_principal(self, views, tmp_path):
-        policies = _policies(views)
-        older = _registered_service(views, policies)
-        save_snapshot(shard_snapshot_path(tmp_path, 0), snapshot_service(older))
-
-        newer = _registered_service(views, policies)
-        for principal, query in _traffic(5, 150):
-            newer.submit(principal, query)  # narrows some live bits
-        newer_doc_path = SnapshotStore(tmp_path).save(snapshot_service(newer))
-        # make the ordering unambiguous regardless of clock resolution
-        document = json.loads(newer_doc_path.read_text())
-        document["created"] += 60.0
-        newer_doc_path.write_text(json.dumps(document, sort_keys=True))
-
-        collected = collect_state(tmp_path)
-        restored = DisclosureService(views)
-        restored.import_state(sessions_payload(collected.sessions))
-        for index in range(PRINCIPALS):
-            principal = f"app-{index}"
-            assert restored.live_partitions(principal) == newer.live_partitions(
-                principal
-            )
-
     def test_sessions_come_only_from_the_newest_generation(self, views, tmp_path):
         """A principal absent from the newest snapshot was removed on
         purpose (unregister, or an ephemeral session dropped fresh) —
@@ -477,22 +462,12 @@ class TestCollectState:
 
     def test_corrupt_files_are_skipped_and_reported(self, views, tmp_path):
         service = _registered_service(views, _policies(views))
-        save_snapshot(shard_snapshot_path(tmp_path, 0), snapshot_service(service))
-        bad = shard_snapshot_path(tmp_path, 1)
+        SnapshotStore(tmp_path).save(snapshot_service(service))
+        bad = tmp_path / "snapshot-00000002.json"
         bad.write_text("{not json")
         collected = collect_state(tmp_path)
         assert len(collected.sessions) == PRINCIPALS
-        assert [path.name for path, _ in collected.skipped] == ["shard-1.json"]
-
-    def test_clean_stale_shards(self, tmp_path):
-        for index in range(4):
-            save_snapshot(shard_snapshot_path(tmp_path, index), {"i": index})
-        removed = clean_stale_shards(tmp_path, 2)
-        assert [path.name for path in removed] == ["shard-2.json", "shard-3.json"]
-        assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "shard-0.json",
-            "shard-1.json",
-        ]
+        assert [path.name for path, _ in collected.skipped] == [bad.name]
 
 
 # ----------------------------------------------------------------------
@@ -558,18 +533,22 @@ class TestInternalSnapshotRoute:
             [service.submit(p, q) for p, q in after]
         ) == _wire([restarted.submit(p, q) for p, q in after])
 
-    def test_router_merges_all_shards(self, views):
-        policies = _policies(views)
-        router = ShardRouter([LocalShardBackend(), LocalShardBackend()])
-        for index, policy in enumerate(policies):
-            router.register(f"app-{index}", policy)
-        for principal, query in _traffic(10, 150):
-            router.submit(principal, query)
-        status, payload = router.dispatch("GET", "/internal/snapshot", None)
+    def test_pool_merges_all_replicas(self, views):
+        pool = _registered_pool(views, _policies(views), 2)
+        try:
+            pool.call(
+                pool.decide,
+                [(p, q, None) for p, q in _traffic(10, 150)],
+                update=True,
+            )
+            status, payload = pool.call(
+                pool.dispatch_inline, "GET", "/internal/snapshot", None
+            )
+        finally:
+            _close_pool(pool)
         assert status == 200
         assert len(payload["sessions"]["sessions"]) == PRINCIPALS
         assert payload["metrics"]["decisions"] == 150
-        assert "shard" not in payload  # merged payloads are topology-free
 
         restarted = DisclosureService(views)
         restore_service(restarted, json.loads(json.dumps(payload)))
@@ -578,99 +557,103 @@ class TestInternalSnapshotRoute:
 
 
 # ----------------------------------------------------------------------
-# The real deployment: worker processes, periodic snapshots, kill, restart
+# The real deployment: a replica pool, SIGINT, relaunch with more replicas
 # ----------------------------------------------------------------------
-class TestMultiProcessRestart:
-    def _drive(self, router, traffic):
-        payloads = []
-        for principal, query in traffic:
-            status, payload = router.dispatch(
-                "POST",
-                "/v1/query",
-                {"principal": principal, "datalog": query_to_datalog(query)},
-            )
-            assert status == 200
-            payloads.append(payload)
-        return payloads
+class TestPooledRestart:
+    @staticmethod
+    def _launch(state_dir, replicas: int):
+        """``repro serve --async --replicas N --state-dir D`` in its own
+        process; returns it and its URL once it is serving."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
 
-    def test_kill_and_warm_restart_with_more_shards(self, views, tmp_path):
-        """serve --shards 2 --state-dir → periodic snapshots → terminate →
-        serve --shards 3 over the same directory → decisions continue
-        byte-identically vs an uninterrupted single service."""
-        import time as time_module
+        import repro
+
+        source = str(Path(repro.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONUNBUFFERED="1")
+        env["PYTHONPATH"] = os.pathsep.join(
+            part for part in (source, env.get("PYTHONPATH")) if part
+        )
+        process = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "serve", "--async",
+                "--port", "0", "--replicas", str(replicas),
+                "--state-dir", str(state_dir),
+                "--snapshot-interval", "3600",
+            ],
+            env=env,
+            stdin=subprocess.DEVNULL,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+        )
+        lines = []
+        for raw in process.stdout:
+            line = raw.decode("utf-8", "replace")
+            lines.append(line)
+            if " on http://" in line:
+                return process, line.rsplit(" on ", 1)[1].strip()
+        process.kill()
+        process.wait()
+        process.stdout.close()
+        pytest.fail(f"server did not start: {''.join(lines)}")
+
+    @staticmethod
+    def _interrupt(process) -> None:
+        """SIGINT: the shutdown path takes the final merged snapshot."""
+        import signal
+
+        process.send_signal(signal.SIGINT)
+        assert process.wait(timeout=60) == 0
+
+    def test_sigint_and_warm_restart_with_more_replicas(self, views, tmp_path):
+        """serve --async --replicas 2 --state-dir → SIGINT → serve
+        --async --replicas 3 over the same directory → decisions
+        continue exactly as an uninterrupted LocalClient replay,
+        ``cached`` included (every replica restarts warm)."""
+        from repro.client import HttpClient, LocalClient
 
         policies = _policies(views)
-        reference = _registered_service(views, policies)
+        reference = LocalClient(DisclosureService(views))
         before, after = _covering_traffic(21, 150), _traffic(22, 150)
 
-        front, router, workers = serve_sharded(
-            2,
-            port=0,
-            state_dir=str(tmp_path),
-            snapshot_interval=0.2,
-        )
+        process, url = self._launch(tmp_path, 2)
         try:
+            client = HttpClient(url)
             for index, policy in enumerate(policies):
-                status, _ = router.dispatch(
-                    "POST",
-                    "/v1/register",
-                    {"principal": f"app-{index}", "policy": policy},
+                client.register(f"app-{index}", policy)
+                reference.register(f"app-{index}", policy)
+            for principal, query in before:
+                got = client.submit(principal, query)
+                want = reference.submit(principal, query)
+                assert (got["accepted"], got["live_after"]) == (
+                    want["accepted"],
+                    want["live_after"],
                 )
-                assert status == 200
-            expected_before = [
-                reference.submit(p, q).as_dict() for p, q in before
-            ]
-            got_before = self._drive(router, before)
-            for got, want in zip(got_before, expected_before):
-                assert got["accepted"] == want["accepted"]
-                assert got["live_after"] == want["live_after"]
-            # Wait for the workers' periodic snapshotters to catch up.
-            deadline = time_module.time() + 20
-            while time_module.time() < deadline:
-                collected = collect_state(tmp_path)
-                if (
-                    collected is not None
-                    and len(collected.sessions) == PRINCIPALS
-                    # refusals change no live bit but do fill the cache,
-                    # so cache parity is part of "caught up"
-                    and len(collected.cache_entries)
-                    >= len(reference.export_label_cache())
-                ):
-                    restored = DisclosureService(views)
-                    restored.import_state(sessions_payload(collected.sessions))
-                    if all(
-                        restored.live_partitions(f"app-{i}")
-                        == reference.live_partitions(f"app-{i}")
-                        for i in range(PRINCIPALS)
-                    ):
-                        break
-                time_module.sleep(0.05)
-            else:
-                pytest.fail("periodic snapshots never caught up with traffic")
+            client.close()
+            self._interrupt(process)
         finally:
-            front.server_close()
-            router.close()
-            stop_shard_workers(workers)  # the kill: SIGTERM, no goodbye
+            if process.poll() is None:
+                process.kill()
+                process.wait()
+            process.stdout.close()
+        assert collect_state(tmp_path) is not None
 
-        front2, router2, workers2 = serve_sharded(
-            3,
-            port=0,
-            state_dir=str(tmp_path),
-            snapshot_interval=30.0,
-        )
+        process, url = self._launch(tmp_path, 3)
         try:
-            expected_after = [
-                reference.submit(p, q).as_dict() for p, q in after
-            ]
-            got_after = self._drive(router2, after)
-            assert got_after == expected_after  # byte-identical, cached too
-            # the dead topology's files were rebalanced into 3 fresh ones
-            names = sorted(p.name for p in tmp_path.iterdir())
-            assert names == ["shard-0.json", "shard-1.json", "shard-2.json"]
+            client = HttpClient(url)
+            got_after = [client.submit(p, q) for p, q in after]
+            want_after = [reference.submit(p, q) for p, q in after]
+            assert got_after == want_after
+            client.close()
+            self._interrupt(process)
         finally:
-            front2.server_close()
-            router2.close()
-            stop_shard_workers(workers2)
+            if process.poll() is None:
+                process.kill()
+                process.wait()
+            process.stdout.close()
+
 
 # ----------------------------------------------------------------------
 # Incremental generations: export_generation and the snapshot chain

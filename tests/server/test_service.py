@@ -217,34 +217,6 @@ class TestSerializableState:
             )
 
 
-class TestDeprecatedTextShims:
-    """``submit_text`` / ``peek_text`` warn and route through the client
-    parse path (the PR 5 deprecation satellite)."""
-
-    def test_submit_text_warns_and_still_decides(self, service):
-        with pytest.warns(DeprecationWarning, match="submit_text is deprecated"):
-            decision = service.submit_text("app", BIRTHDAY_FQL, "fql")
-        assert decision.accepted
-        assert service.live_partitions("app") == (True, False)
-
-    def test_peek_text_warns_and_changes_nothing(self, service):
-        before = service.live_partitions("app")
-        with pytest.warns(DeprecationWarning, match="peek_text is deprecated"):
-            decision = service.peek_text("app", MUSIC_FQL, "fql")
-        assert decision.accepted
-        assert service.live_partitions("app") == before
-
-    def test_shims_match_the_client_parse_path(self, service):
-        """The shim decides exactly what parse_text + submit decides."""
-        from repro.client import parse_text
-
-        query = parse_text(BIRTHDAY_FQL, "fql", schema=service.schema)
-        service.peek("app", query)  # warm the label cache for both paths
-        with pytest.warns(DeprecationWarning):
-            shimmed = service.peek_text("app", BIRTHDAY_FQL, "fql")
-        assert shimmed.as_dict() == service.peek("app", query).as_dict()
-
-
 class TestMetrics:
     def test_snapshot_counts_decisions(self, service):
         _submit(service, "app", BIRTHDAY_FQL, "fql")

@@ -87,6 +87,26 @@ class TestOtherCommands:
             run_cli("nope")
 
 
+class TestServeArguments:
+    """Argument checks that run before ``serve`` binds anything."""
+
+    def test_shards_is_an_unknown_argument(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("serve", "--shards", "2")
+        assert excinfo.value.code == 2
+        assert "--shards" in capsys.readouterr().err
+
+    def test_replicas_need_the_async_front_end(self, capsys):
+        code, _ = run_cli("serve", "--replicas", "2")
+        assert code == 2
+        assert "--replicas needs --async" in capsys.readouterr().err
+
+    def test_replicas_must_be_positive(self, capsys):
+        code, _ = run_cli("serve", "--async", "--replicas", "0")
+        assert code == 2
+        assert "--replicas must be >= 1" in capsys.readouterr().err
+
+
 class TestSnapshotCommand:
     @pytest.fixture()
     def snapshot_file(self, tmp_path):
